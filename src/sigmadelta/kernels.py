@@ -95,9 +95,9 @@ class SparseEvents:
             raise ValueError("length must be nonnegative")
         if indices.size and (indices.min() < 0 or indices.max() >= length):
             raise ValueError(f"event index out of range [0, {length})")
-        if indices.size != np.unique(indices).size:
-            # normalize to compressed form: one signed count per index, so
-            # the event count always equals the reconstructed L1 norm
+        if indices.size > 1 and not (indices[1:] > indices[:-1]).all():
+            # unsorted or repeated indices: normalize to one signed count per
+            # index, so the event count equals the reconstructed L1 norm
             indices, inverse = np.unique(indices, return_inverse=True)
             summed = np.zeros(indices.size, dtype=np.int64)
             np.add.at(summed, inverse, counts)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import sparse_accumulate, to_events
-from .quantizers import Herder, TemporalDifference, round_half_away
+from .quantizers import DeltaHerder, TemporalDifference, round_half_away
 
 __all__ = [
     "ACTIVATIONS",
@@ -106,8 +106,12 @@ class LayerSpec:
         return k if k.ndim == 0 else k[:, None]
 
     def scaled_weights(self):
-        """weights / k: what an integer event of this layer multiplies into."""
-        return self.weights / self.scale_column()
+        """weights / k: what an integer event of this layer multiplies into.
+        Computed on first use and kept, read-only, on the layer."""
+        if "_wk" not in self.__dict__:
+            object.__setattr__(self, "_wk", self.weights / self.scale_column())
+            self._wk.flags.writeable = False
+        return self._wk
 
     def with_scale(self, k):
         return LayerSpec(self.weights, self.bias, self.activation, k)
@@ -162,12 +166,22 @@ class NetworkSpec:
         return f"NetworkSpec(dims={self.dims}, activations=[{acts}])"
 
 
-def _check_input(net, x):
+def _check_input(net, x, finite=False):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(
             f"input has shape {x.shape}, network expects ({net.input_dim},)")
+    if finite and not np.isfinite(x).all():
+        raise ValueError("input frame must be finite")
     return x
+
+
+def _dense(layer, a, ledger):
+    """a @ W + b, charged to the ledger at full multiply-accumulate cost."""
+    if ledger is not None:
+        ledger.float_mults += layer.d_in * layer.d_out
+        ledger.float_adds += layer.d_in * layer.d_out
+    return a @ layer.weights + layer.bias
 
 
 def forward_original(net, x, ledger=None, activity=None):
@@ -176,10 +190,7 @@ def forward_original(net, x, ledger=None, activity=None):
     nonzero = []
     for layer in net.layers:
         nonzero.append(int(np.count_nonzero(a)))
-        if ledger is not None:
-            ledger.float_mults += layer.d_in * layer.d_out
-            ledger.float_adds += layer.d_in * layer.d_out
-        a = apply_activation(layer.activation, a @ layer.weights + layer.bias)
+        a = apply_activation(layer.activation, _dense(layer, a, ledger))
     if activity is not None:
         activity.record_frame(nonzero=nonzero)
     return a
@@ -200,10 +211,7 @@ def forward_rounding(net, x, ledger=None, activity=None, discretize_last=True):
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         if i == last and not discretize_last:
-            if ledger is not None:
-                ledger.float_mults += layer.d_in * layer.d_out
-                ledger.float_adds += layer.d_in * layer.d_out
-            u = a @ layer.weights + layer.bias
+            u = _dense(layer, a, ledger)
         else:
             s = round_half_away(a * np.asarray(layer.scale))
             events = to_events(s)
@@ -237,7 +245,7 @@ class TemporalDiffRuntime:
             u[:] = layer.bias
 
     def step(self, x):
-        a = _check_input(self.net, x)
+        a = _check_input(self.net, x, finite=True)
         for i, layer in enumerate(self.net.layers):
             delta = self._diffs[i].step(a)
             self._u[i] += delta @ layer.weights
@@ -260,77 +268,63 @@ def forward_temporal_diff(net, runtime, x):
 class SigmaDeltaRuntime:
     """Streaming state for the event-driven executor.
 
-    Per layer: a temporal difference on the k-scaled layer input, a herding
-    residual, and an integrated pre-activation u seeded with the bias.
-    After t frames, activation(u) matches what forward_rounding computes on
-    frame t alone (up to float accumulation drift).
+    Per layer: the previous rounded input round(k*a), held by a
+    DeltaHerder, and an integrated pre-activation u seeded with the bias.
+    Each frame sends the change in the rounded input as integer events, so
+    activation(u) matches what forward_rounding computes on the current
+    frame alone (up to float accumulation drift).  A non-finite or
+    misshapen frame is rejected before any state changes.
     """
 
     def __init__(self, net, discretize_last=True):
         self.net = net
         self.discretize_last = discretize_last
-        self._diffs = [TemporalDifference(l.d_in) for l in net.layers]
-        self._herders = [Herder(l.d_in) for l in net.layers]
-        self._u = [l.bias.copy() for l in net.layers]
-        self._wk = [l.scaled_weights() for l in net.layers]
+        event_layers = net.layers if discretize_last else net.layers[:-1]
+        self._herders = [DeltaHerder(l.d_in) for l in event_layers]
+        self._wk = [l.scaled_weights() for l in event_layers]
+        self._u = [l.bias.copy() for l in event_layers]
         self.frames = 0
 
     def reset(self):
-        for d, h in zip(self._diffs, self._herders):
-            d.reset()
+        for h in self._herders:
             h.reset()
         for u, layer in zip(self._u, self.net.layers):
             u[:] = layer.bias
         self.frames = 0
 
     def step(self, x, ledger=None, activity=None):
-        a = _check_input(self.net, x)
+        a = _check_input(self.net, x, finite=True)
         if activity is not None and not self.discretize_last:
             raise ValueError("activity recording requires discretize_last=True")
         l1s = []
-        last = len(self.net.layers) - 1
-        for i, layer in enumerate(self.net.layers):
-            if i == last and not self.discretize_last:
-                delta = self._diffs[i].step(a)
-                if ledger is not None:
-                    ledger.float_mults += layer.d_in * layer.d_out
-                    ledger.float_adds += layer.d_in * layer.d_out
-                self._u[i] += delta @ layer.weights
-            else:
-                z = a * np.asarray(layer.scale)
-                s = self._herders[i].step(self._diffs[i].step(z))
-                events = to_events(s)
-                l1s.append(events.num_events)
-                self._u[i] = sparse_accumulate(events, self._wk[i],
-                                               self._u[i], ledger)
-            a = apply_activation(layer.activation, self._u[i])
+        for layer, herder, wk, u in zip(self.net.layers, self._herders,
+                                        self._wk, self._u):
+            d = herder.step(a * layer.scale)
+            idx = d.nonzero()[0]
+            events = d[idx]
+            u += events @ wk.take(idx, axis=0)
+            l1s.append(int(np.abs(events).sum()))
+            if ledger is not None:
+                ledger.int_adds += l1s[-1] * layer.d_out
+            a = apply_activation(layer.activation, u)
+        if not self.discretize_last:  # the last linear map stays dense
+            last = self.net.layers[-1]
+            a = apply_activation(last.activation, _dense(last, a, ledger))
         if activity is not None:
             activity.record_frame(l1=l1s)
         self.frames += 1
         return a.copy()
 
     def resync(self, x):
-        """Rebuild all streaming state from a fresh rounding pass on x.
-
-        Clears accumulated float drift; intended for very long streams.
-        Returns the frame output.
-        """
-        a = _check_input(self.net, x)
-        last = len(self.net.layers) - 1
-        for i, layer in enumerate(self.net.layers):
-            if i == last and not self.discretize_last:
-                self._diffs[i].x_last = a.copy()
-                self._u[i] = a @ layer.weights + layer.bias
-            else:
-                z = a * np.asarray(layer.scale)
-                s = round_half_away(z)
-                self._diffs[i].x_last = z
-                self._herders[i].phi = z - s
-                self._u[i] = sparse_accumulate(to_events(s), self._wk[i],
-                                               layer.bias)
-            a = apply_activation(layer.activation, self._u[i])
-        self.frames += 1
-        return a.copy()
+        """reset() then step(x), keeping the frame count: rebuilds the
+        integrals from a fresh rounding pass, clearing accumulated float
+        drift on very long streams.  Returns the frame output."""
+        x = _check_input(self.net, x, finite=True)
+        frames = self.frames
+        self.reset()
+        y = self.step(x)
+        self.frames = frames + 1
+        return y
 
 
 def forward_sigma_delta(net, runtime, x, ledger=None, activity=None):

@@ -24,9 +24,12 @@ __all__ = [
 
 
 def round_half_away(x):
-    """Round to nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1)."""
+    """Round to nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1).
+    Like C's round(), the result keeps the sign of x, zeros included."""
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    y = np.copysign(0.5, x, out=np.empty_like(x))  # one buffer, in place
+    y += x  # exact sign symmetry: -a - 0.5 rounds to -(a + 0.5)
+    return np.trunc(y, out=y)
 
 
 def _check_scale(k):

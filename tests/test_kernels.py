@@ -70,6 +70,12 @@ class TestToEvents:
         assert ev2.num_events == 3
         assert list(ev2.indices) == [1]
 
+    def test_unsorted_indices_normalize(self):
+        ev = SparseEvents([3, 0, 3, 1], [2, -1, 1, 0], 4)
+        assert list(ev.indices) == [0, 3]
+        assert list(ev.counts) == [-1, 3]
+        assert ev.num_events == 4
+
 
 class TestDenseAffine:
     def test_identity(self):

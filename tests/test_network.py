@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sigmadelta.costs import LayerActivity
+from sigmadelta.costs import LayerActivity, flops_sigma_delta
 from sigmadelta.kernels import OpLedger
 from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                                 TemporalDiffRuntime, bake_scales,
                                 forward_original, forward_rounding,
                                 forward_sigma_delta, forward_temporal_diff,
                                 load_network, save_network, softmax)
+from sigmadelta.quantizers import round_half_away
 
 
 def random_net(rng, dims, acts=None, scale_range=(0.5, 2.0)):
@@ -47,6 +48,20 @@ class TestSpecValidation:
     def test_unit_scale_vector_length(self):
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu", np.ones(3))
+
+    def test_scaled_weights_computed_once_read_only(self):
+        rng = np.random.default_rng(2)
+        layer = LayerSpec(rng.standard_normal((4, 3)), np.zeros(3), "relu",
+                          rng.uniform(0.5, 2.0, size=4))
+        wk = layer.scaled_weights()
+        assert layer.scaled_weights() is wk
+        assert np.array_equal(wk, layer.weights / layer.scale[:, None])
+        assert not wk.flags.writeable
+        with pytest.raises(ValueError):
+            wk[0, 0] = 1.0
+        rescaled = layer.with_scale(2.0)
+        assert rescaled.scaled_weights() is not wk
+        assert np.array_equal(rescaled.scaled_weights(), layer.weights / 2.0)
 
     def test_dims_property(self):
         rng = np.random.default_rng(1)
@@ -227,10 +242,11 @@ class TestSigmaDeltaNet:
             LayerSpec(W2, rng.integers(-2, 3, size=4).astype(float), "identity", 1.0),
         ])
         rt = SigmaDeltaRuntime(net)
-        for _ in range(200):
+        for t in range(200):
             x = rng.integers(-4, 5, size=8).astype(float)
-            assert np.array_equal(forward_sigma_delta(net, rt, x),
-                                  forward_rounding(net, x))
+            y = rt.resync(x) if t % 50 == 49 else forward_sigma_delta(net, rt, x)
+            assert np.array_equal(y, forward_rounding(net, x))
+        assert rt.frames == 200
 
     def test_softmax_output_layer(self):
         rng = np.random.default_rng(16)
@@ -256,6 +272,33 @@ class TestSigmaDeltaNet:
             x = rng.standard_normal(10)
             assert np.max(np.abs(forward_sigma_delta(net, rt, x)
                                  - forward_rounding(net, x))) < 1e-6
+
+    def test_event_counts_are_rounded_input_changes(self):
+        # layer-0 events are exactly |round(k x_t) - round(k x_{t-1})|_1,
+        # with the previous rounded input cleared by reset() and set by
+        # resync(x)
+        rng = np.random.default_rng(23)
+        net = random_net(rng, [12, 9, 5], scale_range=(0.5, 4.0))
+        k = net.layers[0].scale
+        rt = SigmaDeltaRuntime(net)
+        led, act = OpLedger(), LayerActivity.for_network(net)
+        prev, want = np.zeros(12), 0
+        x = np.zeros(12)
+        for t in range(300):
+            x = 0.9 * x + 0.5 * rng.standard_normal(12)
+            r = round_half_away(k * x)
+            if t == 100:
+                rt.reset()
+                prev = np.zeros(12)
+            if t == 200:
+                rt.resync(x)
+            else:
+                forward_sigma_delta(net, rt, x, ledger=led, activity=act)
+                want += int(np.abs(r - prev).sum())
+            prev = r
+        assert act.l1[0] == want
+        assert led.int_adds == flops_sigma_delta(act)
+        assert led.float_adds == led.float_mults == led.int_mults == 0
 
     def test_reset_reloads_bias(self):
         rng = np.random.default_rng(18)
@@ -391,3 +434,38 @@ def test_softmax_is_stable_and_normalized():
     p = softmax(u)
     assert np.isfinite(p).all()
     assert abs(p.sum() - 1) < 1e-12
+
+
+BAD_FRAMES = [pytest.param(np.array([np.nan] + [0.0] * 7), id="nan"),
+              pytest.param(np.array([0.0] * 7 + [np.inf]), id="inf"),
+              pytest.param(np.zeros(7), id="short"),
+              pytest.param(np.zeros((1, 8)), id="2d")]
+
+
+class TestRejectedFrame:
+    """A bad frame is rejected before any state changes, so the stream
+    continues as if it had never been sent."""
+
+    @pytest.mark.parametrize("bad", BAD_FRAMES)
+    @pytest.mark.parametrize("runtime", [TemporalDiffRuntime, SigmaDeltaRuntime])
+    def test_step(self, runtime, bad):
+        rng = np.random.default_rng(24)
+        net = random_net(rng, [8, 6, 4])
+        clean, hit = runtime(net), runtime(net)
+        for t, x in enumerate(rng.standard_normal((12, 8))):
+            if t == 5:
+                with pytest.raises(ValueError):
+                    hit.step(bad)
+            assert np.array_equal(hit.step(x), clean.step(x))
+
+    @pytest.mark.parametrize("bad", BAD_FRAMES)
+    def test_sigma_delta_resync(self, bad):
+        rng = np.random.default_rng(25)
+        net = random_net(rng, [8, 6, 4])
+        clean, hit = SigmaDeltaRuntime(net), SigmaDeltaRuntime(net)
+        for t, x in enumerate(rng.standard_normal((12, 8))):
+            if t == 5:
+                with pytest.raises(ValueError):
+                    hit.resync(bad)
+            assert np.array_equal(hit.step(x), clean.step(x))
+        assert hit.frames == clean.frames == 12

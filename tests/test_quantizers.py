@@ -12,6 +12,24 @@ def test_round_half_away_ties():
                           [1, -1, 2, -2, 3, 0, -0.0, 0])
 
 
+def test_round_half_away_matches_sign_floor_form():
+    # the value of sign(x) * floor(|x| + 1/2); the result keeps the sign
+    # of x, zeros included, as C's round() does
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        rng.standard_normal(5000) * 10.0 ** rng.integers(-3, 17, 5000),
+        np.arange(-40, 41) / 4.0,
+        [0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+         2.0 ** 52 - 0.5, -(2.0 ** 52 - 0.5), 2.0 ** 53 + 2, 1e308, -1e308,
+         5e-324, np.inf, -np.inf]])
+    want = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    got = round_half_away(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(x))
+    assert np.isnan(round_half_away(np.nan))
+    assert round_half_away(2.5) == 3.0 and round_half_away([[-2.5]]).shape == (1, 1)
+
+
 class TestTemporalDifference:
     def test_first_input_passes_through(self):
         td = TemporalDifference(3)
