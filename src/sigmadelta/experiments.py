@@ -79,14 +79,12 @@ def rounding_batch(net, X, activity=None):
     return a
 
 
-def sigma_delta_stream(net, frames, ledger=None, activity=None, runtime=None):
-    """Run the event-driven network over an ordered set of frames.
-
-    Returns the per-frame outputs; state is fresh unless a runtime is
-    passed in.
+def sigma_delta_stream(net, frames, ledger=None, activity=None):
+    """Run the event-driven network over an ordered set of frames, from a
+    fresh runtime.  Returns the per-frame outputs.
     """
     frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
-    rt = runtime if runtime is not None else SigmaDeltaRuntime(net)
+    rt = SigmaDeltaRuntime(net)
     out = np.empty((frames.shape[0], net.output_dim))
     for t, x in enumerate(frames):
         out[t] = rt.step(x, ledger=ledger, activity=activity)

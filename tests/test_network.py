@@ -3,8 +3,10 @@ import pytest
 
 from sigmadelta.costs import LayerActivity, flops_sigma_delta
 from sigmadelta.kernels import OpLedger
-from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
-                                TemporalDiffRuntime, bake_scales,
+from sigmadelta.data import gen_random_network
+from sigmadelta.network import (DENSE_DELTA_SHARE, LayerSpec, NetworkSpec,
+                                SigmaDeltaRuntime, TemporalDiffRuntime,
+                                bake_scales,
                                 forward_original, forward_rounding,
                                 forward_sigma_delta, forward_temporal_diff,
                                 load_network, save_network, softmax)
@@ -242,8 +244,15 @@ class TestSigmaDeltaNet:
             LayerSpec(W2, rng.integers(-2, 3, size=4).astype(float), "identity", 1.0),
         ])
         rt = SigmaDeltaRuntime(net)
+        x = np.zeros(8)
         for t in range(200):
-            x = rng.integers(-4, 5, size=8).astype(float)
+            # i.i.d. frames change most rows (dense delta product); the
+            # frames after them change one input or none (row gather)
+            if t % 3 == 0:
+                x = rng.integers(-4, 5, size=8).astype(float)
+            elif t % 3 == 1:
+                x = x.copy()
+                x[rng.integers(8)] += 1.0
             y = rt.resync(x) if t % 50 == 49 else forward_sigma_delta(net, rt, x)
             assert np.array_equal(y, forward_rounding(net, x))
         assert rt.frames == 200
@@ -299,6 +308,37 @@ class TestSigmaDeltaNet:
         assert act.l1[0] == want
         assert led.int_adds == flops_sigma_delta(act)
         assert led.float_adds == led.float_mults == led.int_mults == 0
+
+    def test_both_kernels_match_rounding(self):
+        # i.i.d. jumps, nudges of a few inputs and held frames, so that
+        # every layer adds both the dense delta product and the row gather
+        rng = np.random.default_rng(26)
+        net = random_net(rng, [24, 16, 12])
+        k = net.layers[0].scale
+        rt = SigmaDeltaRuntime(net)
+        led, act = OpLedger(), LayerActivity.for_network(net)
+        prev, want = np.zeros(24), 0
+        kernels = np.zeros((2, 2), dtype=int)  # layer x (gather, dense)
+        for t in range(240):
+            if t % 4 == 0:
+                x = rng.standard_normal(24)
+            elif t % 4 == 1:
+                x = x.copy()
+                x[rng.integers(24, size=3)] += rng.standard_normal(3)
+            before = list(rt._prev)
+            ys = forward_sigma_delta(net, rt, x, ledger=led, activity=act)
+            yr = forward_rounding(net, x)
+            assert np.max(np.abs(ys - yr)) / (np.max(np.abs(yr)) + 1e-12) < 1e-6
+            r = round_half_away(k * x)
+            want += int(np.abs(r - prev).sum())
+            prev = r
+            for i, (new, old) in enumerate(zip(rt._prev, before)):
+                rows = np.count_nonzero(new - old)
+                if rows:
+                    kernels[i, int(rows > DENSE_DELTA_SHARE * old.size)] += 1
+        assert np.all(kernels > 0)
+        assert act.l1[0] == want
+        assert led.int_adds == flops_sigma_delta(act)
 
     def test_reset_reloads_bias(self):
         rng = np.random.default_rng(18)
@@ -468,4 +508,31 @@ class TestRejectedFrame:
                 with pytest.raises(ValueError):
                     hit.resync(bad)
             assert np.array_equal(hit.step(x), clean.step(x))
+        assert hit.frames == clean.frames == 12
+
+    @pytest.mark.parametrize("case", ["overflow", "wrong_activity_kind"])
+    def test_sigma_delta_unrecordable_frame(self, case):
+        # the step raises only after every layer has been computed, when
+        # the activity cannot record the frame: an event count past int64,
+        # or an activity that already holds dense nonzero counts
+        rng = np.random.default_rng(27)
+        net = gen_random_network(rng, dims=(20, 10, 5), factors=(1.0, 1.0))
+        clean, hit = SigmaDeltaRuntime(net), SigmaDeltaRuntime(net)
+        led, act = OpLedger(), LayerActivity.for_network(net)
+        if case == "overflow":
+            bad, exc = np.full(20, 1e19), OverflowError
+        else:
+            act.record_frame(nonzero=[20, 10])
+            bad, exc = rng.standard_normal(20), ValueError
+        for t, x in enumerate(rng.standard_normal((12, 20))):
+            if t == 5:
+                ops, l1, nonzero = led.total_ops, act.l1.copy(), act.nonzero.copy()
+                with pytest.raises(exc):
+                    hit.step(bad, ledger=led, activity=act)
+                assert hit.frames == clean.frames == 5
+                assert led.total_ops == ops
+                assert np.array_equal(act.l1, l1)
+                assert np.array_equal(act.nonzero, nonzero)
+                assert act.frames == (0 if case == "overflow" else 1)
+            assert np.array_equal(hit.step(x, ledger=led), clean.step(x))
         assert hit.frames == clean.frames == 12
