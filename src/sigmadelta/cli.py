@@ -106,10 +106,9 @@ def cmd_random_net(args):
 
 
 def cmd_mnist(args):
-    for path in (args.net,):
-        if not os.path.exists(path):
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return EXIT_VALIDATION
+    if not os.path.exists(args.net):
+        print(f"error: no such file: {args.net}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         find_mnist_files(args.mnist_dir, "train")
         find_mnist_files(args.mnist_dir, "test")

@@ -1,9 +1,10 @@
 """Batch evaluation helpers and the experiment drivers behind the CLI.
 
 The per-frame executors in .network are the reference semantics; the batch
-evaluators here compute the same quantities vectorized over frames so that
-whole test sets stay cheap.  Drivers write plain CSV plus a JSON manifest
-and return their results for in-process use.
+evaluators (dense_batch and rounding_batch, defined in .network and
+importable from here) compute the same quantities vectorized over frames so
+that whole test sets stay cheap.  Drivers write plain CSV plus a JSON
+manifest and return their results for in-process use.
 """
 
 import csv
@@ -19,10 +20,9 @@ from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, energy, flops_dense,
                     write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
-from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, apply_activation,
+from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
                       forward_original, forward_rounding, forward_sigma_delta,
-                      forward_temporal_diff, load_network)
-from .quantizers import round_half_away
+                      forward_temporal_diff, load_network, rounding_batch)
 from .scale_opt import DivergenceError, TradeoffConfig, error_loss, optimize
 
 __all__ = [
@@ -45,38 +45,6 @@ def worker_count(n_tasks, requested=None):
     if env:
         cap = min(int(cap), int(env))
     return max(1, min(int(cap), n_tasks))
-
-
-def dense_batch(net, X, activity=None):
-    """Vectorized forward_original over the rows of X."""
-    a = np.asarray(X, dtype=np.float64)
-    nonzero = []
-    for layer in net.layers:
-        nonzero.append(np.count_nonzero(a, axis=1))
-        a = apply_activation(layer.activation, a @ layer.weights + layer.bias)
-    if activity is not None:
-        for frame in np.stack(nonzero, axis=1):
-            activity.record_frame(nonzero=frame)
-    return a
-
-
-def rounding_batch(net, X, activity=None):
-    """Vectorized forward_rounding over the rows of X.
-
-    Same math as the event-driven executor (integer grid values times
-    weights/k); only the summation order differs.
-    """
-    a = np.asarray(X, dtype=np.float64)
-    l1s = []
-    for layer in net.layers:
-        s = round_half_away(a * np.asarray(layer.scale))
-        l1s.append(np.abs(s).sum(axis=1).astype(np.int64))
-        u = s @ layer.scaled_weights() + layer.bias
-        a = apply_activation(layer.activation, u)
-    if activity is not None:
-        for frame in np.stack(l1s, axis=1):
-            activity.record_frame(l1=frame)
-    return a
 
 
 def sigma_delta_stream(net, frames, ledger=None, activity=None):
@@ -215,7 +183,6 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
         except DivergenceError as e:
             return None, e
 
-    results = []
     with ThreadPoolExecutor(worker_count(len(lambdas), threads)) as pool:
         results = list(pool.map(run_one, range(len(lambdas))))
 

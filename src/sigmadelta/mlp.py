@@ -7,12 +7,13 @@ split; optimizer details are incidental, only the final accuracy matters.
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, relu, softmax
+from .network import LayerSpec, NetworkSpec, dense_batch, relu, softmax
 
 __all__ = ["train_mlp", "accuracy"]
 
 
 def _forward(Ws, bs, X):
+    """The trainer's pass over its raw weight arrays, keeping every layer."""
     H = [X]
     for i, (W, b) in enumerate(zip(Ws, bs)):
         U = H[-1] @ W + b
@@ -22,10 +23,7 @@ def _forward(Ws, bs, X):
 
 def accuracy(net, X, labels):
     """Fraction of samples whose argmax output matches the label."""
-    a = np.asarray(X, dtype=np.float64)
-    for layer in net.layers:
-        u = a @ layer.weights + layer.bias
-        a = relu(u) if layer.activation == "relu" else u
+    a = dense_batch(net, X)
     return float(np.mean(np.argmax(a, axis=1) == np.asarray(labels)))
 
 

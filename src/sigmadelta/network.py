@@ -12,6 +12,8 @@ the same function at very different costs:
 
 The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
+dense_batch and rounding_batch evaluate the first and third over the rows
+of a batch, through the same layer loop.
 """
 
 import base64
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import sparse_accumulate, to_events
-from .quantizers import TemporalDifference, round_half_away
+# not called here: the benchmark's tracer patches these module globals
+from .kernels import sparse_accumulate, to_events  # noqa: F401
+from .quantizers import round_half_away
 
 __all__ = [
     "ACTIVATIONS",
@@ -31,6 +34,8 @@ __all__ = [
     "softmax",
     "forward_original",
     "forward_rounding",
+    "dense_batch",
+    "rounding_batch",
     "forward_temporal_diff",
     "forward_sigma_delta",
     "TemporalDiffRuntime",
@@ -176,53 +181,85 @@ def _check_input(net, x, finite=False):
     return x
 
 
-def _dense(layer, a, ledger):
-    """a @ W + b, charged to the ledger at full multiply-accumulate cost."""
-    if ledger is not None:
-        ledger.float_mults += layer.d_in * layer.d_out
-        ledger.float_adds += layer.d_in * layer.d_out
-    return a @ layer.weights + layer.bias
+def _passes(net, X, snap):
+    """X (one frame, or frames as rows) through the layers: the one loop of
+    the stateless executors.  Yields (layer, s, a) per layer, where s is
+    what multiplied the weights and a is the layer's output.
+
+    Dense (snap false): s is the layer input a, times W.  Rounding (snap
+    true): s is round(k*a), the input's integer grid values, times the
+    layer's cached W/k.
+    """
+    a = X
+    for layer in net.layers:
+        if snap:
+            s = round_half_away(a * layer.scale)
+            u = s @ layer.scaled_weights() + layer.bias
+        else:
+            s = a
+            u = a @ layer.weights + layer.bias
+        a = apply_activation(layer.activation, u)
+        yield layer, s, a
 
 
 def forward_original(net, x, ledger=None, activity=None):
     """Reference dense pass.  Ledger counts the full multiply-accumulate cost."""
-    a = _check_input(net, x)
     nonzero = []
-    for layer in net.layers:
-        nonzero.append(int(np.count_nonzero(a)))
-        a = apply_activation(layer.activation, _dense(layer, a, ledger))
+    for layer, s, a in _passes(net, _check_input(net, x), snap=False):
+        if ledger is not None:
+            ledger.float_mults += layer.d_in * layer.d_out
+            ledger.float_adds += layer.d_in * layer.d_out
+        if activity is not None:
+            nonzero.append(int(np.count_nonzero(s)))
     if activity is not None:
         activity.record_frame(nonzero=nonzero)
     return a
 
 
-def forward_rounding(net, x, ledger=None, activity=None, discretize_last=True):
+def forward_rounding(net, x, ledger=None, activity=None):
     """Stateless quantized pass: each layer input is snapped to its 1/k grid.
 
-    The integer part round(k*a) travels as events into weights/k, so the
-    ledger gains |s|_L1 * d_out event additions plus d_out bias additions
-    per layer.  With discretize_last=False the final layer input is passed
-    dense instead (and counted at dense cost).
+    Computes round(k*a) @ (W/k) + b densely.  The integer part round(k*a)
+    stands for |s|_L1 unit events into weights/k, so the ledger gains
+    |s|_L1 * d_out event additions plus d_out bias additions per layer.
     """
-    a = _check_input(net, x)
-    if activity is not None and not discretize_last:
-        raise ValueError("activity recording requires discretize_last=True")
+    counted = ledger is not None or activity is not None
     l1s = []
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        if i == last and not discretize_last:
-            u = _dense(layer, a, ledger)
-        else:
-            s = round_half_away(a * np.asarray(layer.scale))
-            events = to_events(s)
-            l1s.append(events.num_events)
-            u = sparse_accumulate(events, layer.scaled_weights(), layer.bias,
-                                  ledger)
+    for layer, s, a in _passes(net, _check_input(net, x, finite=True),
+                               snap=True):
+        if counted:
+            n = int(np.abs(s).sum())
+            l1s.append(n)
             if ledger is not None:
-                ledger.int_adds += layer.d_out  # bias add
-        a = apply_activation(layer.activation, u)
+                ledger.int_adds += (n + 1) * layer.d_out  # events + bias adds
     if activity is not None:
         activity.record_frame(l1=l1s)
+    return a
+
+
+def dense_batch(net, X, activity=None):
+    """Vectorized forward_original over the rows of X."""
+    nonzero = []
+    for _, s, a in _passes(net, np.asarray(X, dtype=np.float64), snap=False):
+        if activity is not None:
+            nonzero.append(np.count_nonzero(s, axis=1))
+    if activity is not None:
+        for frame in np.stack(nonzero, axis=1):
+            activity.record_frame(nonzero=frame)
+    return a
+
+
+def rounding_batch(net, X, activity=None):
+    """Vectorized forward_rounding over the rows of X: the same products,
+    so only the float summation order differs from the event-driven
+    executor (integer grid values times weights/k)."""
+    l1s = []
+    for _, s, a in _passes(net, np.asarray(X, dtype=np.float64), snap=True):
+        if activity is not None:
+            l1s.append(np.abs(s).sum(axis=1).astype(np.int64))
+    if activity is not None:
+        for frame in np.stack(l1s, axis=1):
+            activity.record_frame(l1=frame)
     return a
 
 
@@ -235,21 +272,21 @@ class TemporalDiffRuntime:
 
     def __init__(self, net):
         self.net = net
-        self._diffs = [TemporalDifference(l.d_in) for l in net.layers]
-        self._u = [l.bias.copy() for l in net.layers]
+        self.reset()
 
     def reset(self):
-        for d in self._diffs:
-            d.reset()
-        for u, layer in zip(self._u, self.net.layers):
-            u[:] = layer.bias
+        self._prev = [np.zeros(l.d_in) for l in self.net.layers]
+        self._u = [l.bias.copy() for l in self.net.layers]
 
     def step(self, x):
-        a = _check_input(self.net, x, finite=True)
+        # a copy: the frame is kept as the first layer's previous input
+        a = _check_input(self.net, x, finite=True).copy()
         for i, layer in enumerate(self.net.layers):
-            delta = self._diffs[i].step(a)
-            self._u[i] += delta @ layer.weights
-            a = apply_activation(layer.activation, self._u[i])
+            # u is replaced, not updated in place: an identity activation
+            # returns u itself, which is kept as the next layer's input
+            u = self._u[i] + (a - self._prev[i]) @ layer.weights
+            self._prev[i], self._u[i] = a, u
+            a = apply_activation(layer.activation, u)
         return a.copy()
 
 
@@ -300,24 +337,20 @@ class SigmaDeltaRuntime:
     activity as they were.
     """
 
-    def __init__(self, net, discretize_last=True):
+    def __init__(self, net):
         self.net = net
-        self.discretize_last = discretize_last
-        self._event_layers = net.layers if discretize_last else net.layers[:-1]
-        # what a step reads of each event layer, looked up once
+        # what a step reads of each layer, looked up once
         self._consts = [(l.scale, l.scaled_weights(), l.activation, l.d_out,
-                         DENSE_DELTA_SHARE * l.d_in) for l in self._event_layers]
+                         DENSE_DELTA_SHARE * l.d_in) for l in net.layers]
         self.reset()
 
     def reset(self):
-        self._prev = [np.zeros(l.d_in) for l in self._event_layers]
-        self._u = [l.bias.copy() for l in self._event_layers]
+        self._prev = [np.zeros(l.d_in) for l in self.net.layers]
+        self._u = [l.bias.copy() for l in self.net.layers]
         self.frames = 0
 
     def step(self, x, ledger=None, activity=None):
         a = _check_input(self.net, x, finite=True)
-        if activity is not None and not self.discretize_last:
-            raise ValueError("activity recording requires discretize_last=True")
         # the new state is built aside and committed once nothing can raise
         prevs, us, l1s, adds = [], [], [], 0
         for (k, wk, act, d_out, dense_rows), prev, u in zip(
@@ -336,9 +369,6 @@ class SigmaDeltaRuntime:
             prevs.append(r)
             us.append(u)
             a = apply_activation(act, u)
-        if not self.discretize_last:  # the last linear map stays dense
-            last = self.net.layers[-1]
-            a = apply_activation(last.activation, _dense(last, a, ledger))
         if activity is not None:
             activity.record_frame(l1=l1s)
         if ledger is not None:

@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from sigmadelta.costs import LayerActivity
+from sigmadelta.costs import LayerActivity, flops_dense
 from sigmadelta.data import FrameDataset, gen_random_network, gen_random_stream, save_idx
+from sigmadelta.kernels import OpLedger
 from sigmadelta.experiments import (classification_error, dense_batch,
                                     equivalence_check, find_mnist_files,
                                     mnist_experiment, random_net_experiment,
@@ -22,9 +23,18 @@ class TestBatchEvaluators:
         rng = np.random.default_rng(0)
         net = random_net(rng, [8, 6, 4])
         X = rng.standard_normal((20, 8))
-        got = dense_batch(net, X)
-        want = np.array([forward_original(net, x) for x in X])
+        X[X < -0.5] = 0.0  # some zero inputs, so nonzero counts are < 8
+        act_batch = LayerActivity.for_network(net)
+        got = dense_batch(net, X, activity=act_batch)
+        act_frame, led = LayerActivity.for_network(net), OpLedger()
+        want = np.array([forward_original(net, x, ledger=led,
+                                          activity=act_frame) for x in X])
         assert np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(act_batch.nonzero, act_frame.nonzero)
+        assert act_batch.frames == act_frame.frames == 20
+        assert act_batch.nonzero[0] < 20 * 8
+        assert led.total_ops == 20 * flops_dense(net.dims)
+        assert led.int_adds == led.int_mults == 0
 
     def test_rounding_batch_matches_per_frame(self):
         rng = np.random.default_rng(1)
@@ -100,14 +110,22 @@ class TestRandomNetExperiment:
             header = next(csv.reader(f))
         assert header == ["lambda", "step", "error", "kflops"]
 
-    def test_byte_identical_under_seed(self, tmp_path):
-        kwargs = dict(seed=7, lambdas=(1e-6,), n_random=20, train_frames=128,
-                      eval_frames=64, epochs=1)
-        random_net_experiment(str(tmp_path / "a"), **kwargs)
-        random_net_experiment(str(tmp_path / "b"), **kwargs)
+    def test_byte_identical_under_seed(self, tmp_path, monkeypatch):
+        # same seed, same bytes: across reruns and across sweep thread counts
+        monkeypatch.delenv("SIGDEL_THREADS", raising=False)
+        kwargs = dict(seed=7, n_random=20, train_frames=128, eval_frames=64,
+                      epochs=1)
+        random_net_experiment(str(tmp_path / "a"), lambdas=(1e-6,), **kwargs)
+        random_net_experiment(str(tmp_path / "b"), lambdas=(1e-6,), **kwargs)
+        lams = (1e-6, 1e-5)
+        random_net_experiment(str(tmp_path / "t1"), lambdas=lams, threads=1,
+                              **kwargs)
+        random_net_experiment(str(tmp_path / "t2"), lambdas=lams, threads=2,
+                              **kwargs)
         for name in ("cloud.csv", "trajectories.csv", "endpoints.csv"):
-            assert ((tmp_path / "a" / name).read_bytes()
-                    == (tmp_path / "b" / name).read_bytes())
+            for a, b in (("a", "b"), ("t1", "t2")):
+                assert ((tmp_path / a / name).read_bytes()
+                        == (tmp_path / b / name).read_bytes())
 
 
 def make_digit_fixture(tmp_path, rng, width=64, classes=10, n_train=192,

@@ -102,6 +102,13 @@ class TestForwardOriginal:
 
 
 class TestForwardRounding:
+    def test_rejects_non_finite_frame(self):
+        rng = np.random.default_rng(4)
+        net = random_net(rng, [4, 3])
+        for bad in ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, np.inf]):
+            with pytest.raises(ValueError):
+                forward_rounding(net, np.array(bad))
+
     def test_fine_quantization_approaches_original(self):
         rng = np.random.default_rng(3)
         net = random_net(rng, [10, 8, 6], scale_range=(1.0, 1.0))
@@ -160,10 +167,24 @@ class TestTemporalDiffNet:
 
     def test_stream_equals_original_per_frame(self):
         rng = np.random.default_rng(8)
-        net = random_net(rng, [12, 10, 8])
+        # identity hidden layers hand a layer's own integral to the next
+        # layer as its input; the runtime must not alias the two
+        for dims, acts in (([12, 10, 8], None),
+                           ([12, 10, 9, 8], ["relu", "identity", "identity"])):
+            net = random_net(rng, dims, acts)
+            rt = TemporalDiffRuntime(net)
+            for _ in range(100):
+                x = rng.standard_normal(12)
+                assert np.max(np.abs(forward_temporal_diff(net, rt, x)
+                                     - forward_original(net, x))) < 1e-6
+
+    def test_caller_may_reuse_frame_buffer(self):
+        rng = np.random.default_rng(27)
+        net = random_net(rng, [6, 5, 4])
         rt = TemporalDiffRuntime(net)
-        for _ in range(100):
-            x = rng.standard_normal(12)
+        x = np.empty(6)
+        for _ in range(20):
+            x[:] = rng.standard_normal(6)
             assert np.max(np.abs(forward_temporal_diff(net, rt, x)
                                  - forward_original(net, x))) < 1e-6
 
@@ -348,17 +369,6 @@ class TestSigmaDeltaNet:
         rt.reset()
         assert np.array_equal(rt._u[0], net.layers[0].bias)
         assert rt.frames == 0
-
-    def test_dense_last_layer_flag(self):
-        rng = np.random.default_rng(19)
-        net = random_net(rng, [8, 6, 4], scale_range=(1.0, 1.0))
-        x = rng.standard_normal(8)
-        rt = SigmaDeltaRuntime(net, discretize_last=False)
-        ys = forward_sigma_delta(net, rt, x)
-        yr = forward_rounding(net, x, discretize_last=False)
-        assert np.max(np.abs(ys - yr)) < 1e-9
-        # last layer input is not quantized, so it differs from the full path
-        assert not np.allclose(yr, forward_rounding(net, x))
 
 
 class TestBakeScales:
