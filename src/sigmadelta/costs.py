@@ -152,16 +152,16 @@ def write_report_csv(path, rows):
     Rows are dicts keyed by REPORT_COLUMNS; missing entries are left blank.
     Floats are written at full precision (shortest round-trip repr).
     """
+    _write_csv(path, REPORT_COLUMNS,
+               ([row.get(c) for c in REPORT_COLUMNS] for row in rows))
+
+
+def _write_csv(path, header, rows):
+    """The package's one CSV writer: None is written blank, floats (numpy
+    float64 too) as plain-float repr, and other values through str()."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(REPORT_COLUMNS)
+        w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(row.get(c)) for c in REPORT_COLUMNS])
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))  # plain-float repr even for numpy scalars
-    return str(v)
+            w.writerow([repr(float(v)) if isinstance(v, float) else v
+                        for v in row])

@@ -7,7 +7,6 @@ that whole test sets stay cheap.  Drivers write plain CSV plus a JSON
 manifest and return their results for in-process use.
 """
 
-import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -15,9 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, energy, flops_dense,
-                    flops_rounding, flops_sigma_delta, flops_sparse,
-                    write_report_csv)
+from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, _write_csv, energy,
+                    flops_dense, flops_rounding, flops_sparse, write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
 from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
@@ -73,13 +71,20 @@ def _write_manifest(out_dir, config):
         f.write("\n")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v
-                        for v in row])
+def _optimize_sweep(net, frames, lambdas, seed, first, threads, **cfg):
+    """optimize at TradeoffConfig(lam=lambdas[i], **cfg) for each i on the
+    sweep pool, seeded [seed, first + i] whatever the worker count.  Each
+    run gives its OptimizeResult or the DivergenceError it raised."""
+    def run(i):
+        cfg_i = TradeoffConfig(lam=lambdas[i], **cfg)
+        try:
+            return optimize(net, frames, cfg_i,
+                            rng=np.random.default_rng([seed, first + i]))
+        except DivergenceError as e:
+            return e
+
+    with ThreadPoolExecutor(worker_count(len(lambdas), threads)) as pool:
+        return list(pool.map(run, range(len(lambdas))))
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +176,14 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
     _write_csv(os.path.join(out_dir, "cloud.csv"),
                ["sample_id", "error", "kflops"], cloud)
 
-    cfgs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
-                           batch_size=batch_size, surrogate=surrogate)
-            for lam in lambdas]
-
-    def run_one(i):
-        try:
-            result = optimize(net, train, cfgs[i],
-                              rng=np.random.default_rng([seed, i]))
-            return result, None
-        except DivergenceError as e:
-            return None, e
-
-    with ThreadPoolExecutor(worker_count(len(lambdas), threads)) as pool:
-        results = list(pool.map(run_one, range(len(lambdas))))
+    results = _optimize_sweep(net, train, lambdas, seed, 0, threads, eta=eta,
+                              epochs=epochs, batch_size=batch_size,
+                              surrogate=surrogate)
 
     cloud_pts = np.array([(e, c) for _, e, c in cloud])
     traj_rows, endpoint_rows, endpoints = [], [], []
-    for lam, (result, _exc) in zip(lambdas, results):
-        if result is None:
+    for lam, result in zip(lambdas, results):
+        if isinstance(result, DivergenceError):
             endpoint_rows.append([lam, "", "", "diverged"] + [""] * n_layers)
             endpoints.append({"lambda": lam, "diverged": True})
             continue
@@ -245,15 +239,6 @@ def find_mnist_files(mnist_dir, split):
     return pairs
 
 
-def _synthetic_ledger(kind, flops):
-    """Ledger equivalent of a flop count: dense passes are half multiplies,
-    event-driven passes are all additions."""
-    if kind == "dense":
-        half = flops // 2
-        return OpLedger(float_adds=flops - half, float_mults=half)
-    return OpLedger(int_adds=flops)
-
-
 def _nj(ledger, frames):
     return energy(ledger, DEFAULT_ENERGY_TABLE, "int32") / frames * 1e9
 
@@ -306,34 +291,29 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
         "kflops_sparse": flops_sparse(act_sparse) / act_sparse.frames / 1000.0,
         "class_error_train": orig_err_train,
         "class_error_test": orig_err_test,
-        "energy_nj": _nj(_synthetic_ledger("dense", dense_flops), 1),
+        # a dense pass is one multiply and one add per weight
+        "energy_nj": _nj(OpLedger(float_adds=dense_flops // 2,
+                                  float_mults=dense_flops // 2), 1),
     }
 
     opt_X = train.frames if opt_frames is None else train.frames[:opt_frames]
 
-    def optimize_setting(i, lam):
-        cfg = TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
-                             batch_size=batch_size, surrogate=surrogate)
-        try:
-            result = optimize(net, opt_X, cfg, rng=np.random.default_rng([seed, i]))
-            return result.scales.scales(), result.trace, None
-        except DivergenceError as e:
-            return None, e.trace, e
-
-    settings = [("unoptimized", [1.0] * len(net.layers), None)]
-    with ThreadPoolExecutor(worker_count(len(lambdas), threads)) as pool:
-        sweep = list(pool.map(lambda ix: optimize_setting(*ix),
-                              enumerate(lambdas, start=1)))
-    for lam, (scales, trace, err) in zip(lambdas, sweep):
-        settings.append((f"lambda={lam:.3g}", scales, err))
+    sweep = _optimize_sweep(net, opt_X, lambdas, seed, 1, threads, eta=eta,
+                            epochs=epochs, batch_size=batch_size,
+                            surrogate=surrogate)
+    settings = [("unoptimized", [1.0] * len(net.layers))]
+    for lam, result in zip(lambdas, sweep):
+        scales = (None if isinstance(result, DivergenceError)
+                  else result.scales.scales())
+        settings.append((f"lambda={lam:.3g}", scales))
         rows = [[lam, s.step, s.error_loss, s.comp_loss, s.round_flops / 1000.0]
-                + s.scales for s in trace]
+                + s.scales for s in result.trace]
         _write_csv(os.path.join(out_dir, f"trace_lambda_{lam:.3g}.csv"),
                    ["lambda", "step", "error_loss", "comp_loss", "kflops"]
                    + [f"k_{i + 1}" for i in range(len(net.layers))], rows)
 
     report_rows, summary = [], []
-    for setting, scales, err in settings:
+    for setting, scales in settings:
         if scales is None:  # diverged run: report the failure, keep sweeping
             for ds_name in datasets:
                 report_rows.append({"setting": setting, "net_type": "diverged",
@@ -360,15 +340,15 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
                 "kflops": round_flops / 1000.0,
                 "class_error_train": round_err_train,
                 "class_error_test": round_err_test,
-                "energy_nj": _nj(_synthetic_ledger("events",
-                                                   flops_rounding(act_round)),
+                "energy_nj": _nj(OpLedger(int_adds=flops_rounding(act_round)),
                                  act_round.frames),
             })
-            act_sd = LayerActivity.for_network(net_k)
+            led_sd = OpLedger()
             sd_test_out = sigma_delta_stream(net_k, splits["test"],
-                                             activity=act_sd)
+                                             ledger=led_sd)
             sd_train_out = sigma_delta_stream(net_k, splits["train"])
-            sd_flops = flops_sigma_delta(act_sd) / act_sd.frames
+            n_test = sd_test_out.shape[0]
+            sd_flops = led_sd.int_adds / n_test
             report_rows.append({
                 "setting": setting, "net_type": "sigma_delta", "dataset": ds_name,
                 "kflops": sd_flops / 1000.0,
@@ -376,9 +356,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
                     sd_train_out, splits["train"].labels),
                 "class_error_test": classification_error(
                     sd_test_out, splits["test"].labels),
-                "energy_nj": _nj(_synthetic_ledger("events",
-                                                   flops_sigma_delta(act_sd)),
-                                 act_sd.frames),
+                "energy_nj": _nj(led_sd, n_test),
             })
             entry[f"sd_kflops_{ds_name}"] = sd_flops / 1000.0
             entry[f"sd_err_test_{ds_name}"] = classification_error(

@@ -252,11 +252,16 @@ def dense_batch(net, X, activity=None):
 def rounding_batch(net, X, activity=None):
     """Vectorized forward_rounding over the rows of X: the same products,
     so only the float summation order differs from the event-driven
-    executor (integer grid values times weights/k)."""
+    executor (integer grid values times weights/k).  A row whose event
+    count is NaN, infinite or past int64 raises before any is recorded."""
     l1s = []
     for _, s, a in _passes(net, np.asarray(X, dtype=np.float64), snap=True):
         if activity is not None:
-            l1s.append(np.abs(s).sum(axis=1).astype(np.int64))
+            l1 = np.abs(s).sum(axis=1)
+            if not np.all(l1 < 2.0 ** 63):  # false for NaN as well
+                raise ValueError("input rows must be finite, with event "
+                                 "counts that fit int64")
+            l1s.append(l1.astype(np.int64))
     if activity is not None:
         for frame in np.stack(l1s, axis=1):
             activity.record_frame(l1=frame)

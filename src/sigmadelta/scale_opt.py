@@ -36,14 +36,15 @@ __all__ = [
 
 SURROGATES = ("ste", "noise", "identity")
 _PROB_FLOOR = 1e-12
+# optimize's divergence bound: this many times the first batch's error loss
+_DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
 class TradeoffConfig:
     """Knobs for the error/computation tradeoff optimization.
 
-    lam weighs additions against output error; distance=None picks
-    KL for softmax outputs and L2 otherwise.
+    lam weighs additions against output error.
     """
 
     lam: float = 0.0
@@ -51,9 +52,7 @@ class TradeoffConfig:
     epochs: int = 1
     batch_size: int = 32
     surrogate: str = "ste"
-    distance: str = None
     unitwise: bool = False
-    divergence_factor: float = 10.0
     divergence_patience: int = 100
 
     def __post_init__(self):
@@ -63,12 +62,9 @@ class TradeoffConfig:
             raise ValueError("eta must be positive")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
-        if self.distance not in (None, "kl", "l2"):
-            raise ValueError("distance must be None, 'kl' or 'l2'")
 
     def resolve_distance(self, net):
-        if self.distance is not None:
-            return self.distance
+        """The error distance: KL for softmax outputs, L2 otherwise."""
         return "kl" if net.layers[-1].activation == "softmax" else "l2"
 
 
@@ -345,7 +341,7 @@ def optimize(net, frames, cfg, rng, init=None):
     The reference output for every sample comes from the original dense
     network; scales start at k=1 unless init is given.  Returns the final
     scales and a per-step trace of (error, computation).  Raises
-    DivergenceError if the error loss exceeds divergence_factor times its
+    DivergenceError if the error loss exceeds 10x (_DIVERGENCE_FACTOR) its
     initial value for divergence_patience consecutive steps.
     """
     X = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
@@ -369,7 +365,7 @@ def optimize(net, frames, cfg, rng, init=None):
             kappas = update_scales(kappas, grads, cfg.eta)
             if initial_error is None:
                 initial_error = max(info["error_loss"], 1e-30)
-            diverging = info["error_loss"] > cfg.divergence_factor * initial_error
+            diverging = info["error_loss"] > _DIVERGENCE_FACTOR * initial_error
             trace.append(TraceStep(
                 step=step, epoch=epoch,
                 error_loss=info["error_loss"],

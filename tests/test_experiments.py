@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import sigmadelta.experiments as experiments
 from sigmadelta.costs import LayerActivity, flops_dense
 from sigmadelta.data import FrameDataset, gen_random_network, gen_random_stream, save_idx
 from sigmadelta.kernels import OpLedger
@@ -15,6 +16,7 @@ from sigmadelta.mlp import train_mlp
 from sigmadelta.network import (SigmaDeltaRuntime, forward_original,
                                 forward_rounding, forward_sigma_delta,
                                 save_network)
+from sigmadelta.scale_opt import DivergenceError
 from tests.test_network import random_net
 
 
@@ -48,6 +50,21 @@ class TestBatchEvaluators:
         assert np.max(np.abs(got - want)) < 1e-9
         assert np.array_equal(act_batch.l1, act_frame.l1)
         assert act_batch.frames == 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+    def test_rounding_batch_rejects_uncountable_row(self, bad):
+        # one bad row must not leave garbage int64 counts in the activity
+        rng = np.random.default_rng(5)
+        net = random_net(rng, [6, 5, 4])
+        act = LayerActivity.for_network(net)
+        rounding_batch(net, rng.standard_normal((2, 6)), activity=act)
+        frames, l1 = act.frames, act.l1.copy()
+        X = rng.standard_normal((3, 6))
+        X[1, 2] = bad
+        with pytest.raises(ValueError):
+            rounding_batch(net, X, activity=act)
+        assert act.frames == frames == 2
+        assert np.array_equal(act.l1, l1)
 
     def test_sigma_delta_stream_matches_per_frame(self):
         rng = np.random.default_rng(2)
@@ -93,6 +110,25 @@ class TestWorkerCount:
         assert worker_count(4, requested=4) == 1
 
 
+def diverge_at(monkeypatch, lam):
+    """Make the drivers' optimize raise DivergenceError for one lambda,
+    carrying the first two steps of that run's real trace."""
+    real = experiments.optimize
+
+    def optimize(net, frames, cfg, *args, **kwargs):
+        result = real(net, frames, cfg, *args, **kwargs)
+        if cfg.lam == lam:
+            raise DivergenceError(1, result.trace[:2])
+        return result
+
+    monkeypatch.setattr(experiments, "optimize", optimize)
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 class TestRandomNetExperiment:
     def test_outputs_and_dominance(self, tmp_path):
         out = tmp_path / "rn"
@@ -126,6 +162,30 @@ class TestRandomNetExperiment:
             for a, b in (("a", "b"), ("t1", "t2")):
                 assert ((tmp_path / a / name).read_bytes()
                         == (tmp_path / b / name).read_bytes())
+
+
+    def test_diverged_lambda_is_reported(self, tmp_path, monkeypatch):
+        kwargs = dict(seed=7, lambdas=(1e-6, 1e-5), n_random=20,
+                      train_frames=128, eval_frames=64, epochs=1)
+        random_net_experiment(str(tmp_path / "ok"), **kwargs)
+        diverge_at(monkeypatch, 1e-6)
+        res = random_net_experiment(str(tmp_path / "div"), **kwargs)
+        ok = {n: read_rows(tmp_path / "ok" / n)
+              for n in ("cloud.csv", "trajectories.csv", "endpoints.csv")}
+        div = {n: read_rows(tmp_path / "div" / n) for n in ok}
+        assert div["cloud.csv"] == ok["cloud.csv"]
+        # the diverged run's row says so; the other lambda's is unchanged
+        header, bad, good = div["endpoints.csv"]
+        assert header == ok["endpoints.csv"][0]
+        assert bad[:4] == ["1e-06", "", "", "diverged"]
+        assert bad[4:] == [""] * (len(header) - 4)
+        assert good == ok["endpoints.csv"][2]
+        # only finished runs have trajectories
+        assert div["trajectories.csv"] == [
+            r for r in ok["trajectories.csv"] if r[0] != "1e-06"]
+        assert len(div["trajectories.csv"]) > 1
+        assert res["endpoints"][0] == {"lambda": 1e-6, "diverged": True}
+        assert not res["endpoints"][1]["diverged"]
 
 
 def make_digit_fixture(tmp_path, rng, width=64, classes=10, n_train=192,
@@ -184,6 +244,54 @@ class TestMnistExperiment:
             sd_temp = float(by_key[(setting, "sigma_delta",
                                     "temporal_mnist")]["kflops"])
             assert sd_temp < sd_plain
+
+    def test_diverged_lambda_is_reported(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        ddir, net_path = make_digit_fixture(tmp_path, rng, n_train=96,
+                                            n_test=48)
+        kwargs = dict(seed=0, lambdas=[1e-7, 1e-6], epochs=1, buffer_size=8,
+                      opt_frames=96)
+        mnist_experiment(str(ddir), str(net_path), str(tmp_path / "ok"),
+                         **kwargs)
+        diverge_at(monkeypatch, 1e-6)
+        res = mnist_experiment(str(ddir), str(net_path),
+                               str(tmp_path / "div"), **kwargs)
+        ok = read_rows(tmp_path / "ok" / "report.csv")
+        div = read_rows(tmp_path / "div" / "report.csv")
+        failed = [r for r in div if r[0] == "lambda=1e-06"]
+        assert [(r[1], r[2]) for r in failed] == [
+            ("diverged", "mnist"), ("diverged", "temporal_mnist")]
+        assert all(v == "" for r in failed for v in r[3:])
+        assert [r for r in div if r[0] != "lambda=1e-06"] == [
+            r for r in ok if r[0] != "lambda=1e-06"]
+        # the diverged run's trace CSV holds its partial trace
+        trace = "trace_lambda_1e-06.csv"
+        assert read_rows(tmp_path / "div" / trace) == \
+            read_rows(tmp_path / "ok" / trace)[:3]
+        assert len(read_rows(tmp_path / "ok" / trace)) > 3
+        other = "trace_lambda_1e-07.csv"
+        assert ((tmp_path / "div" / other).read_bytes()
+                == (tmp_path / "ok" / other).read_bytes())
+        assert res["summary"][2] == {"setting": "lambda=1e-06",
+                                     "diverged": True}
+
+    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SIGDEL_THREADS", raising=False)
+        rng = np.random.default_rng(7)
+        ddir, net_path = make_digit_fixture(tmp_path, rng, n_train=96,
+                                            n_test=48)
+        for threads in (1, 2):
+            mnist_experiment(str(ddir), str(net_path),
+                             str(tmp_path / f"t{threads}"), seed=0,
+                             lambdas=[1e-7, 1e-6], epochs=1, buffer_size=8,
+                             opt_frames=96, threads=threads)
+        names = sorted(p.name for p in (tmp_path / "t1").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "t2").glob("*.csv"))
+        assert names == ["report.csv", "trace_lambda_1e-06.csv",
+                         "trace_lambda_1e-07.csv"]
+        for name in names:
+            assert ((tmp_path / "t1" / name).read_bytes()
+                    == (tmp_path / "t2" / name).read_bytes())
 
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
