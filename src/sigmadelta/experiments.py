@@ -243,6 +243,53 @@ def _nj(ledger, frames):
     return energy(ledger, DEFAULT_ENERGY_TABLE, "int32") / frames * 1e9
 
 
+def _evaluate_setting(net_k, setting, datasets, orig_row):
+    """One sweep point of mnist_experiment: the rounding network on the
+    test and train frames, then the sigma-delta network over each ordering
+    of them.  Returns its report rows and its summary entry."""
+    test, train = datasets["mnist"]["test"], datasets["mnist"]["train"]
+    # Rounding network: stateless, so order does not matter.
+    act_round = LayerActivity.for_network(net_k)
+    round_test_out = rounding_batch(net_k, test.frames, activity=act_round)
+    round_train_out = rounding_batch(net_k, train.frames)
+    round_err_test = classification_error(round_test_out, test.labels)
+    round_err_train = classification_error(round_train_out, train.labels)
+    round_flops = flops_rounding(act_round) / act_round.frames
+
+    rows = []
+    entry = {"setting": setting,
+             "scales": [float(np.mean(s)) for s in net_k.scales],
+             "round_kflops": round_flops / 1000.0,
+             "round_err_test": round_err_test, "diverged": False}
+    for ds_name, splits in datasets.items():
+        rows.append({"setting": setting, "dataset": ds_name, **orig_row})
+        rows.append({
+            "setting": setting, "net_type": "round", "dataset": ds_name,
+            "kflops": round_flops / 1000.0,
+            "class_error_train": round_err_train,
+            "class_error_test": round_err_test,
+            "energy_nj": _nj(OpLedger(int_adds=flops_rounding(act_round)),
+                             act_round.frames),
+        })
+        led_sd = OpLedger()
+        sd_test_out = sigma_delta_stream(net_k, splits["test"], ledger=led_sd)
+        sd_train_out = sigma_delta_stream(net_k, splits["train"])
+        n_test = sd_test_out.shape[0]
+        sd_flops = led_sd.int_adds / n_test
+        sd_err_test = classification_error(sd_test_out, splits["test"].labels)
+        rows.append({
+            "setting": setting, "net_type": "sigma_delta", "dataset": ds_name,
+            "kflops": sd_flops / 1000.0,
+            "class_error_train": classification_error(
+                sd_train_out, splits["train"].labels),
+            "class_error_test": sd_err_test,
+            "energy_nj": _nj(led_sd, n_test),
+        })
+        entry[f"sd_kflops_{ds_name}"] = sd_flops / 1000.0
+        entry[f"sd_err_test_{ds_name}"] = sd_err_test
+    return rows, entry
+
+
 def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
                      eta=0.01, epochs=2, batch_size=32, surrogate="ste",
                      buffer_size=1000, threads=None, opt_frames=None,
@@ -320,47 +367,9 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
                                     "dataset": ds_name})
             summary.append({"setting": setting, "diverged": True})
             continue
-        net_k = net.with_scales(scales)
-
-        # Rounding network: stateless, so order does not matter.
-        act_round = LayerActivity.for_network(net_k)
-        round_test_out = rounding_batch(net_k, test.frames, activity=act_round)
-        round_train_out = rounding_batch(net_k, train.frames)
-        round_err_test = classification_error(round_test_out, test.labels)
-        round_err_train = classification_error(round_train_out, train.labels)
-        round_flops = flops_rounding(act_round) / act_round.frames
-
-        entry = {"setting": setting, "scales": [float(np.mean(s)) for s in scales],
-                 "round_kflops": round_flops / 1000.0,
-                 "round_err_test": round_err_test, "diverged": False}
-        for ds_name, splits in datasets.items():
-            report_rows.append({"setting": setting, "dataset": ds_name, **orig_row})
-            report_rows.append({
-                "setting": setting, "net_type": "round", "dataset": ds_name,
-                "kflops": round_flops / 1000.0,
-                "class_error_train": round_err_train,
-                "class_error_test": round_err_test,
-                "energy_nj": _nj(OpLedger(int_adds=flops_rounding(act_round)),
-                                 act_round.frames),
-            })
-            led_sd = OpLedger()
-            sd_test_out = sigma_delta_stream(net_k, splits["test"],
-                                             ledger=led_sd)
-            sd_train_out = sigma_delta_stream(net_k, splits["train"])
-            n_test = sd_test_out.shape[0]
-            sd_flops = led_sd.int_adds / n_test
-            report_rows.append({
-                "setting": setting, "net_type": "sigma_delta", "dataset": ds_name,
-                "kflops": sd_flops / 1000.0,
-                "class_error_train": classification_error(
-                    sd_train_out, splits["train"].labels),
-                "class_error_test": classification_error(
-                    sd_test_out, splits["test"].labels),
-                "energy_nj": _nj(led_sd, n_test),
-            })
-            entry[f"sd_kflops_{ds_name}"] = sd_flops / 1000.0
-            entry[f"sd_err_test_{ds_name}"] = classification_error(
-                sd_test_out, splits["test"].labels)
+        rows, entry = _evaluate_setting(net.with_scales(scales), setting,
+                                        datasets, orig_row)
+        report_rows.extend(rows)
         summary.append(entry)
 
     write_report_csv(os.path.join(out_dir, "report.csv"), report_rows)
