@@ -17,7 +17,8 @@ from .quantizers import (DeltaHerder, Herder, TemporalDifference,
 from .network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                       TemporalDiffRuntime, bake_scales, forward_original,
                       forward_rounding, forward_sigma_delta,
-                      forward_temporal_diff, load_network, save_network)
+                      forward_temporal_diff, load_network, save_network,
+                      snap_to_grid)
 from .costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity, energy,
                     flops_dense, flops_rounding, flops_sigma_delta,
                     flops_sparse, write_report_csv)
@@ -35,7 +36,7 @@ __all__ = [
     "LayerSpec", "NetworkSpec", "SigmaDeltaRuntime", "TemporalDiffRuntime",
     "bake_scales", "forward_original", "forward_rounding",
     "forward_sigma_delta", "forward_temporal_diff", "load_network",
-    "save_network",
+    "save_network", "snap_to_grid",
     "DEFAULT_ENERGY_TABLE", "EnergyTable", "LayerActivity", "energy",
     "flops_dense", "flops_rounding", "flops_sigma_delta", "flops_sparse",
     "write_report_csv",

@@ -18,9 +18,12 @@ from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, _write_csv, energy,
                     flops_dense, flops_rounding, flops_sparse, write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
-from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
+from .network import (GRID_LIMIT, SigmaDeltaRuntime, TemporalDiffRuntime,
+                      _grid_weight_bound, apply_activation, dense_batch,
                       forward_original, forward_rounding, forward_sigma_delta,
-                      forward_temporal_diff, load_network, rounding_batch)
+                      forward_temporal_diff, load_network, rounding_batch,
+                      snap_to_grid)
+from .quantizers import round_half_away
 from .scale_opt import DivergenceError, TradeoffConfig, error_loss, optimize
 
 __all__ = [
@@ -45,16 +48,75 @@ def worker_count(n_tasks, requested=None):
     return max(1, min(int(cap), n_tasks))
 
 
+# Frames per chunk of sigma_delta_stream's layer-major pass: bounds the
+# (frames, width) arrays it holds at once.
+STREAM_CHUNK = 1000
+
+
 def sigma_delta_stream(net, frames, ledger=None, activity=None):
     """Run the event-driven network over an ordered set of frames, from a
     fresh runtime.  Returns the per-frame outputs.
+
+    A float net goes frame by frame through SigmaDeltaRuntime.step.  A grid
+    net (snap_to_grid) goes layer by layer over chunks of STREAM_CHUNK
+    frames, with the step's outputs, ledger and activity to the bit.  The
+    grid pass refuses a non-finite frame, or one past the grid's headroom,
+    before it charges anything.
     """
     frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
-    rt = SigmaDeltaRuntime(net)
-    out = np.empty((frames.shape[0], net.output_dim))
-    for t, x in enumerate(frames):
-        out[t] = rt.step(x, ledger=ledger, activity=activity)
+    if not net.on_grid:
+        rt = SigmaDeltaRuntime(net)
+        out = np.empty((frames.shape[0], net.output_dim))
+        for t, x in enumerate(frames):
+            out[t] = rt.step(x, ledger=ledger, activity=activity)
+        return out
+    out, l1 = _grid_stream(net, frames)
+    if activity is not None:
+        activity.record_frames(l1=l1)
+    if ledger is not None:
+        ledger.int_adds += sum(int(n) * d for n, d in
+                               zip(l1.sum(axis=0), net.dims[1:]))
     return out
+
+
+def _grid_stream(net, frames):
+    """The layer-major pass of sigma_delta_stream on a grid net.  Per chunk
+    of frames and per layer: R = round(k*A), D = R - (R one frame back),
+    U = u + cumsum(D @ W/k), A = act(U); R's and U's last rows carry into
+    the next chunk.  Returns the outputs and the (frames, layers) event L1s.
+
+    Every sum is exact while each frame's L1(D) * max|W/k| and every |U|
+    stay below GRID_LIMIT, and then U is what the per-frame step
+    accumulates.  Both bounds are checked before a chunk moves on."""
+    if frames.ndim != 2 or frames.shape[1] != net.input_dim:
+        raise ValueError(f"frames have shape {frames.shape}, network expects "
+                         f"(n, {net.input_dim})")
+    if not np.isfinite(frames).all():
+        raise ValueError("input frames must be finite")
+    out = np.empty((frames.shape[0], net.output_dim))
+    l1 = np.empty((frames.shape[0], len(net.layers)), dtype=np.int64)
+    prev = [np.zeros(l.d_in) for l in net.layers]
+    u = [l.bias for l in net.layers]
+    bounds = [_grid_weight_bound(l) for l in net.layers]
+    for lo in range(0, frames.shape[0], STREAM_CHUNK):
+        a = frames[lo:lo + STREAM_CHUNK]
+        rows = slice(lo, lo + a.shape[0])
+        for i, layer in enumerate(net.layers):
+            r = round_half_away(a * layer.scale)
+            d = np.diff(r, axis=0, prepend=prev[i][None])
+            n = np.abs(d).sum(axis=1)
+            U = d @ layer.scaled_weights()
+            U[0] += u[i]
+            np.cumsum(U, axis=0, out=U)
+            if not (n.max() * bounds[i] < GRID_LIMIT
+                    and np.abs(U).max() < GRID_LIMIT):
+                raise ValueError("frames would take a grid layer's integral "
+                                 "past GRID_LIMIT, where sums stop being exact")
+            l1[rows, i] = n
+            prev[i], u[i] = r[-1], U[-1]
+            a = apply_activation(layer.activation, U)
+        out[rows] = a
+    return out, l1
 
 
 def classification_error(outputs, labels):
@@ -246,7 +308,8 @@ def _nj(ledger, frames):
 def _evaluate_setting(net_k, setting, datasets, orig_row):
     """One sweep point of mnist_experiment: the rounding network on the
     test and train frames, then the sigma-delta network over each ordering
-    of them.  Returns its report rows and its summary entry."""
+    of them.  Returns its report rows and its summary entry.  On a grid
+    net_k (snap_to_grid) the two networks' outputs are equal."""
     test, train = datasets["mnist"]["test"], datasets["mnist"]["train"]
     # Rounding network: stateless, so order does not matter.
     act_round = LayerActivity.for_network(net_k)
@@ -297,8 +360,12 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     """Evaluate all three executors across a lambda sweep on both dataset
     orderings, mirroring the results-table layout.
 
-    limit_* truncate the datasets (for smoke tests); opt_frames caps how
-    many training frames the scale optimization sees.
+    The rounding and sigma-delta rows of each setting are evaluated on
+    snap_to_grid of the net at that setting's scales, so their outputs,
+    and their class errors, are equal.  Settings and trace files are named
+    after repr(float(lam)).  limit_* truncate the datasets (for smoke
+    tests); opt_frames caps how many training frames the scale
+    optimization sees.
     """
     os.makedirs(out_dir, exist_ok=True)
     if lambdas is None:
@@ -352,10 +419,13 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     for lam, result in zip(lambdas, sweep):
         scales = (None if isinstance(result, DivergenceError)
                   else result.scales.scales())
-        settings.append((f"lambda={lam:.3g}", scales))
+        # repr, not a rounded format, so distinct lambdas get distinct
+        # names; float() keeps a numpy scalar's repr plain
+        label = repr(float(lam))
+        settings.append((f"lambda={label}", scales))
         rows = [[lam, s.step, s.error_loss, s.comp_loss, s.round_flops / 1000.0]
                 + s.scales for s in result.trace]
-        _write_csv(os.path.join(out_dir, f"trace_lambda_{lam:.3g}.csv"),
+        _write_csv(os.path.join(out_dir, f"trace_lambda_{label}.csv"),
                    ["lambda", "step", "error_loss", "comp_loss", "kflops"]
                    + [f"k_{i + 1}" for i in range(len(net.layers))], rows)
 
@@ -367,8 +437,8 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
                                     "dataset": ds_name})
             summary.append({"setting": setting, "diverged": True})
             continue
-        rows, entry = _evaluate_setting(net.with_scales(scales), setting,
-                                        datasets, orig_row)
+        rows, entry = _evaluate_setting(
+            snap_to_grid(net.with_scales(scales)), setting, datasets, orig_row)
         report_rows.extend(rows)
         summary.append(entry)
 

@@ -14,6 +14,9 @@ The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
 dense_batch and rounding_batch evaluate the first and third over the rows
 of a batch, through the same layer loop.
+
+snap_to_grid puts a network on an exact grid, where the sigma-delta
+network equals the rounding network bit for bit.
 """
 
 import base64
@@ -40,6 +43,8 @@ __all__ = [
     "forward_sigma_delta",
     "TemporalDiffRuntime",
     "SigmaDeltaRuntime",
+    "GRID_FRAC_BITS",
+    "snap_to_grid",
     "bake_scales",
     "save_network",
     "load_network",
@@ -126,8 +131,11 @@ class NetworkSpec:
     """An immutable stack of layers with chained dimensions.
 
     Softmax is only allowed on the final layer; hidden layers are relu or
-    identity so that scales can be folded into the parameters.
+    identity so that scales can be folded into the parameters.  on_grid is
+    true only for the networks snap_to_grid returns.
     """
+
+    on_grid = False
 
     def __init__(self, layers):
         layers = tuple(layers)
@@ -169,6 +177,53 @@ class NetworkSpec:
     def __repr__(self):
         acts = ",".join(l.activation for l in self.layers)
         return f"NetworkSpec(dims={self.dims}, activations=[{acts}])"
+
+
+# Grid mode.  snap_to_grid rounds each layer's W/k and bias to multiples of
+# GRID_STEP = 2**-GRID_FRAC_BITS.  Every integer event times a weight, and
+# every partial sum of such products, is then a multiple of GRID_STEP too,
+# and float64 adds them exactly while they stay below GRID_LIMIT = 2**53
+# grid steps in magnitude.  Exact sums do not depend on summation order, so
+# the gather and dense kernels, a per-frame GEMV and a batched GEMM all give
+# the same bits.
+GRID_FRAC_BITS = 24
+GRID_STEP = 2.0 ** -GRID_FRAC_BITS
+GRID_LIMIT = 2.0 ** 53 * GRID_STEP
+
+
+def _to_grid(a):
+    return round_half_away(a / GRID_STEP) * GRID_STEP
+
+
+def snap_to_grid(net):
+    """The network with each layer's W/k and bias rounded to the nearest
+    multiple of GRID_STEP, marked on_grid.
+
+    scaled_weights() of a returned layer is exactly the rounded W/k; its
+    weights are that times k, to the nearest float.  On such a network
+    the sigma-delta executors compute exactly what forward_rounding and
+    rounding_batch compute, and refuse a frame that would take an integral
+    past GRID_LIMIT.  with_scales returns an unmarked network.
+    """
+    layers = []
+    for l in net.layers:
+        wk = _to_grid(l.scaled_weights())
+        wk.flags.writeable = False
+        layer = LayerSpec(wk * l.scale_column(), _to_grid(l.bias),
+                          l.activation, l.scale)
+        # the snapped W/k itself: weights / k can be an ulp off the grid
+        object.__setattr__(layer, "_wk", wk)
+        layers.append(layer)
+    grid = NetworkSpec(layers)
+    grid.on_grid = True
+    return grid
+
+
+def _grid_weight_bound(layer):
+    """max|W/k| of a grid layer, but at least GRID_STEP: a frame whose event
+    L1 n has n * bound >= GRID_LIMIT is refused, so n also stays an exact
+    count when a layer's weights are all zero."""
+    return max(float(np.abs(layer.scaled_weights()).max()), GRID_STEP)
 
 
 def _check_input(net, x, finite=False):
@@ -244,8 +299,7 @@ def dense_batch(net, X, activity=None):
         if activity is not None:
             nonzero.append(np.count_nonzero(s, axis=1))
     if activity is not None:
-        for frame in np.stack(nonzero, axis=1):
-            activity.record_frame(nonzero=frame)
+        activity.record_frames(nonzero=np.stack(nonzero, axis=1))
     return a
 
 
@@ -263,8 +317,7 @@ def rounding_batch(net, X, activity=None):
                                  "counts that fit int64")
             l1s.append(l1.astype(np.int64))
     if activity is not None:
-        for frame in np.stack(l1s, axis=1):
-            activity.record_frame(l1=frame)
+        activity.record_frames(l1=np.stack(l1s, axis=1))
     return a
 
 
@@ -336,17 +389,26 @@ class SigmaDeltaRuntime:
     W/k.  The two kernels differ only in float summation order: event
     counts, ledger charges and LayerActivity are the same whichever ran.
 
+    On a grid net (snap_to_grid) every sum is exact, so the step matches
+    forward_rounding bit for bit.  There a layer first checks that
+    max|u| + n * max|W/k| < GRID_LIMIT, n being its event L1 for the
+    frame, which bounds every partial sum the frame adds to u.  A frame
+    that fails the check is refused.
+
     A step is all-or-nothing: a non-finite or misshapen frame is rejected
-    before any work, and a step that raises later (say, an activity that
-    cannot record the frame) leaves the state, frame count, ledger and
-    activity as they were.
+    before any work, and a step that raises later (a frame past the grid's
+    headroom, or an activity that cannot record the frame) leaves the
+    state, frame count, ledger and activity as they were.
     """
 
     def __init__(self, net):
         self.net = net
-        # what a step reads of each layer, looked up once
+        # what a step reads of each layer, looked up once; the weight bound
+        # is None off the grid, where nothing is checked
         self._consts = [(l.scale, l.scaled_weights(), l.activation, l.d_out,
-                         DENSE_DELTA_SHARE * l.d_in) for l in net.layers]
+                         DENSE_DELTA_SHARE * l.d_in,
+                         _grid_weight_bound(l) if net.on_grid else None)
+                        for l in net.layers]
         self.reset()
 
     def reset(self):
@@ -358,17 +420,22 @@ class SigmaDeltaRuntime:
         a = _check_input(self.net, x, finite=True)
         # the new state is built aside and committed once nothing can raise
         prevs, us, l1s, adds = [], [], [], 0
-        for (k, wk, act, d_out, dense_rows), prev, u in zip(
+        for (k, wk, act, d_out, dense_rows, bound), prev, u in zip(
                 self._consts, self._prev, self._u):
             r = round_half_away(a * k)
             d = r - prev
             idx = d.nonzero()[0]
             events = d[idx]
+            l1 = np.abs(events).sum()
+            if bound is not None and not (
+                    np.abs(u).max() + l1 * bound < GRID_LIMIT):
+                raise ValueError("frame would take a grid layer's integral "
+                                 "past GRID_LIMIT, where sums stop being exact")
             if idx.size > dense_rows:
                 u = u + d @ wk
             else:
                 u = u + events @ wk.take(idx, axis=0)
-            n = int(np.abs(events).sum())
+            n = int(l1)
             l1s.append(n)
             adds += n * d_out
             prevs.append(r)
@@ -385,11 +452,15 @@ class SigmaDeltaRuntime:
     def resync(self, x):
         """reset() then step(x), keeping the frame count: rebuilds the
         integrals from a fresh rounding pass, clearing accumulated float
-        drift on very long streams.  Returns the frame output."""
-        x = _check_input(self.net, x, finite=True)
-        frames = self.frames
+        drift on very long streams.  Returns the frame output.  A frame the
+        step refuses leaves the state as it was."""
+        frames, state = self.frames, (self._prev, self._u)
         self.reset()
-        y = self.step(x)
+        try:
+            y = self.step(x)
+        except Exception:
+            (self._prev, self._u), self.frames = state, frames
+            raise
         self.frames = frames + 1
         return y
 

@@ -155,8 +155,9 @@ def _as_batch(net, x):
 
 def _forward_trace(net, X, kappas, surrogate, rng):
     """Run the scaled quantized forward on a batch, keeping everything the
-    backward pass needs.  A and R have one entry per layer input; U one per
-    layer pre-activation.
+    backward pass needs.  A, Z, S and R have one entry per layer input (S
+    is the surrogate's stand-in for round(z), R is S/k); U one per layer
+    pre-activation.
 
     This keeps its own loop rather than network._passes: k changes every
     step, so it divides the batch, (s/k) @ W.  Installing the new scales in
@@ -165,7 +166,7 @@ def _forward_trace(net, X, kappas, surrogate, rng):
     784-200-200-10 net, one BLAS thread, 2 vCPUs)."""
     if surrogate == "noise" and rng is None:
         raise ValueError("the noise surrogate needs an rng")
-    A, Z, R, U = [X], [], [], []
+    A, Z, S, R, U = [X], [], [], [], []
     a = X
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         for layer, kappa in zip(net.layers, kappas):
@@ -181,6 +182,7 @@ def _forward_trace(net, X, kappas, surrogate, rng):
             u = r @ layer.weights + layer.bias
             a = apply_activation(layer.activation, u)
             Z.append(z)
+            S.append(s)
             R.append(r)
             U.append(u)
             A.append(a)
@@ -189,7 +191,7 @@ def _forward_trace(net, X, kappas, surrogate, rng):
             scales = [float(np.max(np.exp(np.asarray(k)))) for k in kappas]
         raise ValueError(
             f"non-finite activations in scaled forward (max scales {scales})")
-    return A, Z, R, U
+    return A, Z, S, R, U
 
 
 def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
@@ -201,7 +203,7 @@ def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
     """
     kappas = kappas.kappas if isinstance(kappas, LogScales) else kappas
     X, single = _as_batch(net, x)
-    A, _, _, _ = _forward_trace(net, X, kappas, surrogate, rng)
+    A = _forward_trace(net, X, kappas, surrogate, rng)[0]
     return A[-1][0] if single else A[-1]
 
 
@@ -250,7 +252,7 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     T = np.atleast_2d(np.asarray(y_true, dtype=np.float64))
     distance = cfg.resolve_distance(net)
 
-    A, Z, R, U = _forward_trace(net, X, kappas, cfg.surrogate, rng)
+    A, Z, S, R, U = _forward_trace(net, X, kappas, cfg.surrogate, rng)
     Y = A[-1]
     dims = net.dims
 
@@ -275,7 +277,9 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
         g = dR
     grads.reverse()
 
-    s_actual = [round_half_away(z) for z in Z]
+    # the ste forward already rounded z; the other surrogates did not
+    s_actual = (S if cfg.surrogate == "ste"
+                else [round_half_away(z) for z in Z])
     l1_mean = [float(np.abs(s).sum() / n) for s in s_actual]
     comp = sum(l1 * dims[i + 1] for i, l1 in enumerate(l1_mean) if i >= 1)
     round_flops = (sum(l1 * dims[i + 1] for i, l1 in enumerate(l1_mean))

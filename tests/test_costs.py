@@ -104,6 +104,31 @@ class TestActivity:
         with pytest.raises(ValueError):
             act.record_frame(l1=[1])
 
+    def test_record_frames_is_record_frame_per_row(self):
+        rng = np.random.default_rng(2)
+        counts = rng.integers(0, 50, (9, 3))
+        for kind in ("l1", "nonzero"):
+            batch, rows = LayerActivity([5, 4, 3]), LayerActivity([5, 4, 3])
+            batch.record_frames(**{kind: counts})
+            for row in counts:
+                rows.record_frame(**{kind: row})
+            assert np.array_equal(batch.l1, rows.l1)
+            assert np.array_equal(batch.nonzero, rows.nonzero)
+            assert batch.frames == rows.frames == 9
+            assert flops_rounding(batch) == flops_rounding(rows)
+
+    def test_record_frames_checks_shape_and_kind(self):
+        act = LayerActivity([4, 2])
+        for bad in ([1, 2], [[1, 2, 3]], np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                act.record_frames(l1=bad)
+        act.record_frames(l1=np.zeros((0, 2)))
+        assert act.frames == 0
+        with pytest.raises(ValueError):
+            act.record_frames(nonzero=[[1, 1]])
+        with pytest.raises(ValueError):
+            act.record_frames()
+
 
 class TestEnergy:
     def test_dense_mnist_pass_int32(self):

@@ -293,6 +293,22 @@ class TestMnistExperiment:
             assert ((tmp_path / "t1" / name).read_bytes()
                     == (tmp_path / "t2" / name).read_bytes())
 
+    def test_close_lambdas_get_distinct_names(self, tmp_path):
+        rng = np.random.default_rng(6)
+        ddir, net_path = make_digit_fixture(tmp_path, rng, n_train=96,
+                                            n_test=48)
+        out = tmp_path / "close"
+        res = mnist_experiment(str(ddir), str(net_path), str(out), seed=0,
+                               lambdas=[1e-7, 1.0001e-7], epochs=1,
+                               buffer_size=8, opt_frames=48)
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == [
+            "trace_lambda_1.0001e-07.csv", "trace_lambda_1e-07.csv"]
+        assert [e["setting"] for e in res["summary"]] == [
+            "unoptimized", "lambda=1e-07", "lambda=1.0001e-07"]
+        for name, lam in (("1e-07", "1e-07"), ("1.0001e-07", "1.0001e-07")):
+            rows = read_rows(out / f"trace_lambda_{name}.csv")
+            assert {r[0] for r in rows[1:]} == {lam}
+
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             find_mnist_files(str(tmp_path), "train")
@@ -307,6 +323,9 @@ class TestMnistExperiment:
                          buffer_size=8, opt_frames=48)
         for f in out.glob("*.csv"):
             assert "np.float64" not in f.read_text()
+        # a numpy scalar is named as the plain float it holds
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == [
+            "trace_lambda_1e-06.csv", "trace_lambda_1e-07.csv"]
 
 
 def test_smoothness_lowers_sigma_delta_cost():
