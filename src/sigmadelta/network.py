@@ -458,7 +458,7 @@ class SigmaDeltaRuntime:
         self.reset()
         try:
             y = self.step(x)
-        except Exception:
+        except ValueError:
             (self._prev, self._u), self.frames = state, frames
             raise
         self.frames = frames + 1
