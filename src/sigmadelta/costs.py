@@ -72,35 +72,36 @@ class LayerActivity:
     def for_network(cls, net):
         return cls(net.dims[1:])
 
-    def _counts(self, nonzero, l1):
-        """The totals that nonzero= or l1= adds to, and the values given."""
+    def record_frame(self, nonzero=None, l1=None):
         if (nonzero is None) == (l1 is None):
             raise ValueError("record exactly one of nonzero= or l1= per frame")
         kind = "nonzero" if nonzero is not None else "l1"
-        if self._kind not in (None, kind):
+        if self._kind is not None and self._kind != kind:
             raise ValueError(
                 f"this activity records {self._kind} frames, got {kind}")
-        self._kind = kind
-        return getattr(self, kind), (nonzero if nonzero is not None else l1)
-
-    def record_frame(self, nonzero=None, l1=None):
-        target, values = self._counts(nonzero, l1)
+        values = nonzero if nonzero is not None else l1
         if len(values) != len(self.fanouts):
             raise ValueError(
                 f"expected {len(self.fanouts)} per-layer values, got {len(values)}")
+        self._kind = kind  # only once a frame is valid
+        target = self.nonzero if nonzero is not None else self.l1
         target += np.asarray(values, dtype=np.int64)
         self.frames += 1
 
     def record_frames(self, nonzero=None, l1=None):
-        """record_frame for each row of a (frames, layers) array."""
-        target, values = self._counts(nonzero, l1)
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 2 or values.shape[1] != len(self.fanouts):
+        """record_frame for each row of a (frames, layers) array.  Totals
+        are sums over frames, so this records the column sums as one frame
+        and counts it as all of them."""
+        if (nonzero is None) == (l1 is None):
+            raise ValueError("record exactly one of nonzero= or l1=")
+        kind = "nonzero" if nonzero is not None else "l1"
+        values = np.asarray(nonzero if nonzero is not None else l1,
+                            dtype=np.int64)
+        if values.ndim != 2:
             raise ValueError(
-                f"expected a (frames, {len(self.fanouts)}) array of "
-                f"per-layer values, got shape {values.shape}")
-        target += values.sum(axis=0)
-        self.frames += values.shape[0]
+                f"expected a (frames, layers) array, got shape {values.shape}")
+        self.record_frame(**{kind: values.sum(axis=0)})
+        self.frames += values.shape[0] - 1
 
     def __repr__(self):
         return (f"LayerActivity(frames={self.frames}, kind={self._kind}, "

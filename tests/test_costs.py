@@ -104,6 +104,13 @@ class TestActivity:
         with pytest.raises(ValueError):
             act.record_frame(l1=[1])
 
+    def test_refused_frame_does_not_fix_the_kind(self):
+        act = LayerActivity([4, 2])
+        with pytest.raises(ValueError):
+            act.record_frame(l1=[1])
+        act.record_frame(nonzero=[1, 1])
+        assert act.frames == 1 and list(act.nonzero) == [1, 1]
+
     def test_record_frames_is_record_frame_per_row(self):
         rng = np.random.default_rng(2)
         counts = rng.integers(0, 50, (9, 3))
