@@ -10,7 +10,7 @@ per-layer discretization scales that trade error against computation.
 
 __version__ = "0.1.0"
 
-from .kernels import OpLedger, SparseEvents, dense_affine, sparse_accumulate, to_events
+from .kernels import OpLedger, SparseEvents, sparse_accumulate, to_events
 from .quantizers import (DeltaHerder, Herder, TemporalDifference,
                          TemporalIntegrator, noisy_round_surrogate,
                          round_half_away, scaled_round)
@@ -30,7 +30,7 @@ from .data import (FrameDataset, gen_random_network, gen_random_stream,
 from .mlp import accuracy, train_mlp
 
 __all__ = [
-    "OpLedger", "SparseEvents", "dense_affine", "sparse_accumulate", "to_events",
+    "OpLedger", "SparseEvents", "sparse_accumulate", "to_events",
     "DeltaHerder", "Herder", "TemporalDifference", "TemporalIntegrator",
     "noisy_round_surrogate", "round_half_away", "scaled_round",
     "LayerSpec", "NetworkSpec", "SigmaDeltaRuntime", "TemporalDiffRuntime",

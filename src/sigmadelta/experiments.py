@@ -1,10 +1,10 @@
 """Batch evaluation helpers and the experiment drivers behind the CLI.
 
 The per-frame executors in .network are the reference semantics; the batch
-evaluators (dense_batch and rounding_batch, defined in .network and
-importable from here) compute the same quantities vectorized over frames so
-that whole test sets stay cheap.  Drivers write plain CSV plus a JSON
-manifest and return their results for in-process use.
+evaluators (dense_batch, rounding_batch and sigma_delta_stream, defined in
+.network and importable from here) compute the same quantities over many
+frames at once so that whole test sets stay cheap.  Drivers write plain CSV
+plus a JSON manifest and return their results for in-process use.
 """
 
 import json
@@ -18,12 +18,10 @@ from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, _write_csv, energy,
                     flops_dense, flops_rounding, flops_sparse, write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
-from .network import (GRID_LIMIT, SigmaDeltaRuntime, TemporalDiffRuntime,
-                      _grid_weight_bound, apply_activation, dense_batch,
+from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
                       forward_original, forward_rounding, forward_sigma_delta,
                       forward_temporal_diff, load_network, rounding_batch,
-                      snap_to_grid)
-from .quantizers import round_half_away
+                      sigma_delta_stream, snap_to_grid)
 from .scale_opt import DivergenceError, TradeoffConfig, error_loss, optimize
 
 __all__ = [
@@ -46,77 +44,6 @@ def worker_count(n_tasks, requested=None):
     if env:
         cap = min(int(cap), int(env))
     return max(1, min(int(cap), n_tasks))
-
-
-# Frames per chunk of sigma_delta_stream's layer-major pass: bounds the
-# (frames, width) arrays it holds at once.
-STREAM_CHUNK = 1000
-
-
-def sigma_delta_stream(net, frames, ledger=None, activity=None):
-    """Run the event-driven network over an ordered set of frames, from a
-    fresh runtime.  Returns the per-frame outputs.
-
-    A float net goes frame by frame through SigmaDeltaRuntime.step.  A grid
-    net (snap_to_grid) goes layer by layer over chunks of STREAM_CHUNK
-    frames, with the step's outputs, ledger and activity to the bit.  The
-    grid pass refuses a non-finite frame, or one past the grid's headroom,
-    before it charges anything.
-    """
-    frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
-    if not net.on_grid:
-        rt = SigmaDeltaRuntime(net)
-        out = np.empty((frames.shape[0], net.output_dim))
-        for t, x in enumerate(frames):
-            out[t] = rt.step(x, ledger=ledger, activity=activity)
-        return out
-    out, l1 = _grid_stream(net, frames)
-    if activity is not None:
-        activity.record_frames(l1=l1)
-    if ledger is not None:
-        ledger.int_adds += sum(int(n) * d for n, d in
-                               zip(l1.sum(axis=0), net.dims[1:]))
-    return out
-
-
-def _grid_stream(net, frames):
-    """The layer-major pass of sigma_delta_stream on a grid net.  Per chunk
-    of frames and per layer: R = round(k*A), D = R - (R one frame back),
-    U = u + cumsum(D @ W/k), A = act(U); R's and U's last rows carry into
-    the next chunk.  Returns the outputs and the (frames, layers) event L1s.
-
-    Every sum is exact while each frame's L1(D) * max|W/k| and every |U|
-    stay below GRID_LIMIT, and then U is what the per-frame step
-    accumulates.  Both bounds are checked before a chunk moves on."""
-    if frames.ndim != 2 or frames.shape[1] != net.input_dim:
-        raise ValueError(f"frames have shape {frames.shape}, network expects "
-                         f"(n, {net.input_dim})")
-    if not np.isfinite(frames).all():
-        raise ValueError("input frames must be finite")
-    out = np.empty((frames.shape[0], net.output_dim))
-    l1 = np.empty((frames.shape[0], len(net.layers)), dtype=np.int64)
-    prev = [np.zeros(l.d_in) for l in net.layers]
-    u = [l.bias for l in net.layers]
-    bounds = [_grid_weight_bound(l) for l in net.layers]
-    for lo in range(0, frames.shape[0], STREAM_CHUNK):
-        a = frames[lo:lo + STREAM_CHUNK]
-        rows = slice(lo, lo + a.shape[0])
-        for i, layer in enumerate(net.layers):
-            r = round_half_away(a * layer.scale)
-            d = np.diff(r, axis=0, prepend=prev[i][None])
-            n = np.abs(d).sum(axis=1)
-            U = d @ layer.scaled_weights()
-            U[0] += u[i]
-            np.cumsum(U, axis=0, out=U)
-            if not (n.max() * bounds[i] < GRID_LIMIT
-                    and np.abs(U).max() < GRID_LIMIT):
-                raise ValueError("frames would take a grid layer's integral "
-                                 "past GRID_LIMIT, where sums stop being exact")
-            l1[rows, i] = n
-            prev[i], u[i] = r[-1], U[-1]
-            a = apply_activation(layer.activation, U)
-        out[rows] = a
-    return out, l1
 
 
 def classification_error(outputs, labels):
@@ -369,7 +296,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     """
     os.makedirs(out_dir, exist_ok=True)
     if lambdas is None:
-        lambdas = list(np.logspace(-10, -5, 10))
+        lambdas = [10.0 ** float(e) for e in np.linspace(-10, -5, 10)]
     rng = np.random.default_rng(seed)
 
     train = load_idx(*find_mnist_files(mnist_dir, "train"))

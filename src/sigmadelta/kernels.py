@@ -1,4 +1,4 @@
-"""Dense and event-driven numeric kernels with built-in operation counting.
+"""Event-driven numeric kernels and exact operation counting.
 
 Everything works on plain float64 numpy arrays.  The event-driven path
 communicates integer activation changes as (index, signed count) pairs:
@@ -12,7 +12,6 @@ __all__ = [
     "OpLedger",
     "SparseEvents",
     "to_events",
-    "dense_affine",
     "sparse_accumulate",
 ]
 
@@ -140,27 +139,6 @@ def to_events(v):
         raise ValueError("to_events requires finite integer-valued entries")
     idx = np.flatnonzero(v)
     return SparseEvents(idx, v[idx].astype(np.int64), v.size)
-
-
-def dense_affine(x, W, b, ledger=None):
-    """Dense affine map x @ W + b with exact op counting.
-
-    Counts d_in*d_out float multiplies and d_in*d_out float adds (the
-    dot-product reduction plus the bias add, folded together).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if x.ndim != 1 or W.ndim != 2 or b.ndim != 1:
-        raise ValueError("dense_affine expects vector, matrix, vector")
-    d_in, d_out = W.shape
-    if x.shape[0] != d_in or b.shape[0] != d_out:
-        raise ValueError(
-            f"shape mismatch: x{x.shape} @ W{W.shape} + b{b.shape}")
-    if ledger is not None:
-        ledger.float_mults += d_in * d_out
-        ledger.float_adds += d_in * d_out
-    return x @ W + b
 
 
 def sparse_accumulate(events, W, u, ledger=None):

@@ -13,7 +13,8 @@ the same function at very different costs:
 The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
 dense_batch and rounding_batch evaluate the first and third over the rows
-of a batch, through the same layer loop.
+of a batch, through the same layer loop; sigma_delta_stream runs the last
+over an ordered set of frames.
 
 snap_to_grid puts a network on an exact grid, where the sigma-delta
 network equals the rounding network bit for bit.
@@ -43,6 +44,7 @@ __all__ = [
     "forward_sigma_delta",
     "TemporalDiffRuntime",
     "SigmaDeltaRuntime",
+    "sigma_delta_stream",
     "GRID_FRAC_BITS",
     "snap_to_grid",
     "bake_scales",
@@ -202,8 +204,8 @@ def snap_to_grid(net):
     scaled_weights() of a returned layer is exactly the rounded W/k; its
     weights are that times k, to the nearest float.  On such a network
     the sigma-delta executors compute exactly what forward_rounding and
-    rounding_batch compute, and refuse a frame that would take an integral
-    past GRID_LIMIT.  with_scales returns an unmarked network.
+    rounding_batch compute, and refuse a frame that would take a sum past
+    GRID_LIMIT.  with_scales returns an unmarked network.
     """
     layers = []
     for l in net.layers:
@@ -226,14 +228,25 @@ def _grid_weight_bound(layer):
     return max(float(np.abs(layer.scaled_weights()).max()), GRID_STEP)
 
 
-def _check_input(net, x, finite=False):
+def _check_input(net, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(
             f"input has shape {x.shape}, network expects ({net.input_dim},)")
-    if finite and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise ValueError("input frame must be finite")
     return x
+
+
+def _check_frames(net, X):
+    """The entry check of the executors that take frames as rows."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ValueError(f"frames have shape {X.shape}, network expects "
+                         f"(n, {net.input_dim})")
+    if not np.isfinite(X).all():
+        raise ValueError("input frames must be finite")
+    return X
 
 
 def _passes(net, X, snap):
@@ -280,8 +293,7 @@ def forward_rounding(net, x, ledger=None, activity=None):
     """
     counted = ledger is not None or activity is not None
     l1s = []
-    for layer, s, a in _passes(net, _check_input(net, x, finite=True),
-                               snap=True):
+    for layer, s, a in _passes(net, _check_input(net, x), snap=True):
         if counted:
             n = int(np.abs(s).sum())
             l1s.append(n)
@@ -295,7 +307,7 @@ def forward_rounding(net, x, ledger=None, activity=None):
 def dense_batch(net, X, activity=None):
     """Vectorized forward_original over the rows of X."""
     nonzero = []
-    for _, s, a in _passes(net, np.asarray(X, dtype=np.float64), snap=False):
+    for _, s, a in _passes(net, _check_frames(net, X), snap=False):
         if activity is not None:
             nonzero.append(np.count_nonzero(s, axis=1))
     if activity is not None:
@@ -307,14 +319,14 @@ def rounding_batch(net, X, activity=None):
     """Vectorized forward_rounding over the rows of X: the same products,
     so only the float summation order differs from the event-driven
     executor (integer grid values times weights/k).  A row whose event
-    count is NaN, infinite or past int64 raises before any is recorded."""
+    count is past int64 raises before any is recorded."""
     l1s = []
-    for _, s, a in _passes(net, np.asarray(X, dtype=np.float64), snap=True):
+    for _, s, a in _passes(net, _check_frames(net, X), snap=True):
         if activity is not None:
             l1 = np.abs(s).sum(axis=1)
-            if not np.all(l1 < 2.0 ** 63):  # false for NaN as well
-                raise ValueError("input rows must be finite, with event "
-                                 "counts that fit int64")
+            if not np.all(l1 < 2.0 ** 63):  # false for inf and NaN too
+                raise ValueError("input rows must have event counts that "
+                                 "fit int64")
             l1s.append(l1.astype(np.int64))
     if activity is not None:
         activity.record_frames(l1=np.stack(l1s, axis=1))
@@ -338,7 +350,7 @@ class TemporalDiffRuntime:
 
     def step(self, x):
         # a copy: the frame is kept as the first layer's previous input
-        a = _check_input(self.net, x, finite=True).copy()
+        a = _check_input(self.net, x).copy()
         for i, layer in enumerate(self.net.layers):
             # u is replaced, not updated in place: an identity activation
             # returns u itself, which is kept as the next layer's input
@@ -417,7 +429,7 @@ class SigmaDeltaRuntime:
         self.frames = 0
 
     def step(self, x, ledger=None, activity=None):
-        a = _check_input(self.net, x, finite=True)
+        a = _check_input(self.net, x)
         # the new state is built aside and committed once nothing can raise
         prevs, us, l1s, adds = [], [], [], 0
         for (k, wk, act, d_out, dense_rows, bound), prev, u in zip(
@@ -475,6 +487,58 @@ def forward_sigma_delta(net, runtime, x, ledger=None, activity=None):
     if runtime.net is not net:
         raise ValueError("runtime was built for a different network")
     return runtime.step(x, ledger=ledger, activity=activity)
+
+
+# Frames per chunk of sigma_delta_stream's pass over a grid net: bounds the
+# (frames, width) arrays it holds at once.
+STREAM_CHUNK = 1000
+
+
+def sigma_delta_stream(net, frames, ledger=None, activity=None):
+    """Run the event-driven network over an ordered set of frames, from a
+    fresh runtime.  Returns the per-frame outputs.
+
+    A float net goes frame by frame through SigmaDeltaRuntime.step.  On a
+    grid net (snap_to_grid) the step's integral is exactly the rounding
+    pre-activation, so the stream runs the rounding pass over chunks of
+    STREAM_CHUNK frames; a frame's event L1 per layer is the row sum of
+    |s - s one frame back|, the rounded input's change.  A window is
+    refused before anything is charged unless, per layer and frame,
+    L1(s) * max|W/k| + max|b|, which bounds every partial sum of
+    s @ W/k + b, and L1(change) * max|W/k|, which keeps the event counts
+    exact, stay below GRID_LIMIT.  Outputs, ledger and activity are then
+    the step's to the bit.
+    """
+    frames = getattr(frames, "frames", frames)
+    if not net.on_grid:
+        frames = np.asarray(frames, dtype=np.float64)
+        rt = SigmaDeltaRuntime(net)
+        out = np.empty((frames.shape[0], net.output_dim))
+        for t, x in enumerate(frames):
+            out[t] = rt.step(x, ledger=ledger, activity=activity)
+        return out
+    X = _check_frames(net, frames)
+    out = np.empty((X.shape[0], net.output_dim))
+    l1 = np.empty((X.shape[0], len(net.layers)), dtype=np.int64)
+    prev = [np.zeros(l.d_in) for l in net.layers]
+    for lo in range(0, X.shape[0], STREAM_CHUNK):
+        rows = slice(lo, lo + STREAM_CHUNK)
+        for i, (layer, s, a) in enumerate(_passes(net, X[rows], snap=True)):
+            n = np.abs(np.diff(s, axis=0, prepend=prev[i][None])).sum(axis=1)
+            w = _grid_weight_bound(layer)
+            if not (np.abs(s).sum(axis=1).max() * w + np.abs(layer.bias).max()
+                    < GRID_LIMIT and n.max() * w < GRID_LIMIT):
+                raise ValueError("frames would take a grid layer's sums past "
+                                 "GRID_LIMIT, where they stop being exact")
+            l1[rows, i] = n
+            prev[i] = s[-1]
+        out[rows] = a
+    if activity is not None:
+        activity.record_frames(l1=l1)
+    if ledger is not None:
+        ledger.int_adds += sum(int(n) * d for n, d in
+                               zip(l1.sum(axis=0), net.dims[1:]))
+    return out
 
 
 def bake_scales(net):

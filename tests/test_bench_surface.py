@@ -1,0 +1,44 @@
+"""The library surface the benchmark in perfbench/ relies on.
+
+The benchmark's tracer replaces each of its targets where the library looks
+it up, and reads the original from the owner's __dict__.  A change to src/
+that moves or renames one of them breaks the benchmark; this test makes it
+break tier-1 first.  Nothing under perfbench/ is run, only imported.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import sigmadelta.experiments as experiments
+import sigmadelta.network as network
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_module(name):
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_workloads_import():
+    # at import, workloads binds the library names it uses
+    bench_module("workloads")
+
+
+def test_every_tracer_target_is_where_the_tracer_looks():
+    tracing = bench_module("tracing")
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracing.TARGETS
+               if attr not in owner.__dict__]
+    assert missing == []
+
+
+def test_pinned_accounting_keywords():
+    for fn in (network.SigmaDeltaRuntime.step, experiments.sigma_delta_stream):
+        params = inspect.signature(fn).parameters
+        assert "ledger" in params and "activity" in params

@@ -66,6 +66,24 @@ class TestBatchEvaluators:
         assert act.frames == frames == 2
         assert np.array_equal(act.l1, l1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batch", [dense_batch, rounding_batch])
+    def test_batch_rejects_non_finite_row(self, batch, bad):
+        # without an activity, no event count would catch the row
+        rng = np.random.default_rng(5)
+        net = random_net(rng, [6, 5, 4])
+        X = rng.standard_normal((3, 6))
+        X[1, 2] = bad
+        with pytest.raises(ValueError):
+            batch(net, X)
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 3, 6)], ids=["vector", "3-d"])
+    @pytest.mark.parametrize("batch", [dense_batch, rounding_batch])
+    def test_batch_rejects_misshapen_frames(self, batch, shape):
+        net = random_net(np.random.default_rng(5), [6, 5, 4])
+        with pytest.raises(ValueError):
+            batch(net, np.zeros(shape))
+
     def test_sigma_delta_stream_matches_per_frame(self):
         rng = np.random.default_rng(2)
         net = random_net(rng, [8, 6, 4])
@@ -308,6 +326,17 @@ class TestMnistExperiment:
         for name, lam in (("1e-07", "1e-07"), ("1.0001e-07", "1.0001e-07")):
             rows = read_rows(out / f"trace_lambda_{name}.csv")
             assert {r[0] for r in rows[1:]} == {lam}
+
+    def test_default_lambdas_get_exact_names(self, tmp_path):
+        rng = np.random.default_rng(6)
+        ddir, net_path = make_digit_fixture(tmp_path, rng, n_train=48,
+                                            n_test=24)
+        res = mnist_experiment(str(ddir), str(net_path), str(tmp_path / "d"),
+                               seed=0, epochs=1, buffer_size=8, opt_frames=16)
+        names = [e["setting"] for e in res["summary"]]
+        assert len(names) == 11
+        assert names[1] == "lambda=1e-10" and names[-1] == "lambda=1e-05"
+        assert (tmp_path / "d" / "trace_lambda_1e-05.csv").exists()
 
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):

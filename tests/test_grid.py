@@ -132,7 +132,7 @@ class TestBitIdentity:
         led_one, act_one = OpLedger(), LayerActivity.for_network(net)
         one = experiments.sigma_delta_stream(net, X, ledger=led_one,
                                              activity=act_one)
-        monkeypatch.setattr(experiments, "STREAM_CHUNK", 7)
+        monkeypatch.setattr(network, "STREAM_CHUNK", 7)
         led, act = OpLedger(), LayerActivity.for_network(net)
         got = experiments.sigma_delta_stream(net, X, ledger=led, activity=act)
         assert got.shape == (n, net.output_dim)
@@ -150,6 +150,23 @@ def huge_frame_net():
                   "relu", 2.0),
         LayerSpec(rng.standard_normal((10, 5)) / 3, rng.standard_normal(5),
                   "identity", 1.0),
+    ]))
+
+
+def hidden_overflow_net(where):
+    """A grid net whose second layer alone runs out of headroom on a frame
+    1000 times the stream's amplitude: through a weight of 2**20, or a bias
+    within 2**8 of GRID_LIMIT."""
+    rng = np.random.default_rng(11)
+    w2, b2 = rng.standard_normal((10, 5)) / 3, rng.standard_normal(5)
+    if where == "weights":
+        w2[0, 0] = 2.0 ** 20
+    else:
+        b2[0] = network.GRID_LIMIT - 2.0 ** 8
+    return snap_to_grid(NetworkSpec([
+        LayerSpec(rng.standard_normal((20, 10)) / 4, rng.standard_normal(10),
+                  "relu", 2.0),
+        LayerSpec(w2, b2, "identity", 1.0),
     ]))
 
 
@@ -180,7 +197,7 @@ class TestHeadroom:
 
     @pytest.mark.parametrize("bad", [1e17, np.nan])
     def test_stream_refuses_and_charges_nothing(self, monkeypatch, bad):
-        monkeypatch.setattr(experiments, "STREAM_CHUNK", 4)
+        monkeypatch.setattr(network, "STREAM_CHUNK", 4)
         net = huge_frame_net()
         X = stream(np.random.default_rng(9), 20, 20, 0.9)
         X[13, 3] = bad  # in the fourth chunk
@@ -191,6 +208,56 @@ class TestHeadroom:
             experiments.sigma_delta_stream(net, X, ledger=led, activity=act)
         assert led == led_before
         assert np.array_equal(act.l1, l1_before) and act.frames == 3
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_hidden_layer_refuses(self, monkeypatch, where):
+        monkeypatch.setattr(network, "STREAM_CHUNK", 4)
+        net = hidden_overflow_net(where)
+        X = stream(np.random.default_rng(12), 20, 20, 0.9)
+        x_bad = X[10] * 1000
+        # the first layer alone takes the frame
+        first = snap_to_grid(NetworkSpec(net.layers[:1]))
+        SigmaDeltaRuntime(first).step(x_bad)
+        network.sigma_delta_stream(first, x_bad[None])
+        rt = SigmaDeltaRuntime(net)
+        led, act = OpLedger(), LayerActivity.for_network(net)
+        for x in X[:10]:
+            rt.step(x, ledger=led, activity=act)
+        before, led_before, l1_before = state(rt), led.copy(), act.l1.copy()
+        with pytest.raises(ValueError):
+            rt.step(x_bad, ledger=led, activity=act)
+        with pytest.raises(ValueError):
+            rt.resync(x_bad)
+        assert same_state(state(rt), before)
+        stream_led, stream_act = OpLedger(), LayerActivity.for_network(net)
+        X[13] = x_bad  # in the fourth chunk
+        with pytest.raises(ValueError):
+            network.sigma_delta_stream(net, X, ledger=stream_led,
+                                       activity=stream_act)
+        assert stream_led == OpLedger() and stream_act.frames == 0
+        assert led == led_before
+        assert np.array_equal(act.l1, l1_before) and act.frames == 10
+        got = np.array([rt.step(x) for x in X[10:13]])
+        assert np.array_equal(got, rounding_batch(net, X[10:13]))
+        assert np.array_equal(network.sigma_delta_stream(net, X[:13]),
+                              rounding_batch(net, X[:13]))
+
+    def test_sign_flip_past_headroom_is_refused(self):
+        # each frame fits alone, but the change between them is twice
+        # either frame's events: only the event-count bound sees it
+        net = snap_to_grid(NetworkSpec(huge_frame_net().layers[:1]))
+        x = np.zeros(20)
+        x[3] = 0.3 * network.GRID_LIMIT / network._grid_weight_bound(
+            net.layers[0])
+        for frame in (x, -x):
+            assert np.array_equal(network.sigma_delta_stream(net, frame[None]),
+                                  forward_rounding(net, frame)[None])
+        with pytest.raises(ValueError):
+            network.sigma_delta_stream(net, np.stack([x, -x]))
+        rt = SigmaDeltaRuntime(net)
+        rt.step(x)
+        with pytest.raises(ValueError):
+            rt.step(-x)
 
     def test_frame_below_headroom_is_kept(self):
         # a large frame the grid can still add exactly is not refused

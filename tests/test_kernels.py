@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sigmadelta.kernels import (OpLedger, SparseEvents, dense_affine,
-                                sparse_accumulate, to_events)
+from sigmadelta.kernels import (OpLedger, SparseEvents, sparse_accumulate,
+                                to_events)
 
 
 class TestOpLedger:
@@ -77,30 +77,6 @@ class TestToEvents:
         assert ev.num_events == 4
 
 
-class TestDenseAffine:
-    def test_identity(self):
-        out = dense_affine([1, 0], np.eye(2), [0, 0])
-        assert np.allclose(out, [1, 0])
-
-    def test_hand_expanded(self):
-        out = dense_affine([1, 2], [[1, 2], [3, 4]], [1, 1])
-        assert np.allclose(out, [8, 11])
-
-    def test_ledger_counts_mnist_layer(self):
-        led = OpLedger()
-        rng = np.random.default_rng(0)
-        dense_affine(rng.standard_normal(784),
-                     rng.standard_normal((784, 200)), np.zeros(200), led)
-        assert led.float_mults == 156800
-        assert led.float_adds == 156800
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dense_affine([1, 2, 3], np.eye(2), [0, 0])
-        with pytest.raises(ValueError):
-            dense_affine([1, 2], np.eye(2), [0, 0, 0])
-
-
 class TestSparseAccumulate:
     def test_empty_events_leave_u_unchanged(self):
         led = OpLedger()
@@ -120,7 +96,7 @@ class TestSparseAccumulate:
                 v = rng.integers(-10, 11, size=d_in)
             W = rng.standard_normal((d_in, d_out))
             got = sparse_accumulate(to_events(v), W, np.zeros(d_out))
-            want = dense_affine(v.astype(float), W, np.zeros(d_out))
+            want = v @ W
             assert np.max(np.abs(got - want)) < 1e-9
 
     def test_ledger_add_count_is_exact(self):
