@@ -14,7 +14,8 @@ The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
 dense_batch and rounding_batch evaluate the first and third over the rows
 of a batch, through the same layer loop; sigma_delta_stream runs the last
-over an ordered set of frames.
+over an ordered set of frames, one layer at a time over chunks of frames,
+and gets the per-frame executor's outputs and op counts to the bit.
 
 snap_to_grid puts a network on an exact grid, where the sigma-delta
 network equals the rounding network bit for bit.
@@ -387,6 +388,45 @@ def forward_temporal_diff(net, runtime, x):
 DENSE_DELTA_SHARE = 3 / 8
 
 
+def _layer_consts(net):
+    """What the sigma-delta executors read of each layer: k, W/k, the
+    activation, d_out, the changed-row count past which the dense delta
+    product runs, and the grid headroom (max|W/k|, max|b|), None off the
+    grid."""
+    return [(l.scale, l.scaled_weights(), l.activation, l.d_out,
+             DENSE_DELTA_SHARE * l.d_in,
+             (_grid_weight_bound(l), float(np.abs(l.bias).max()))
+             if net.on_grid else None)
+            for l in net.layers]
+
+
+def _check_events(l1, s, headroom):
+    """Refuse, with ValueError, a layer's frame (s its rounded input round(k*a),
+    l1 its event L1) or frames (s as rows, l1 their largest event L1).
+
+    Off the grid (headroom None) the event L1 must fit int64, where the
+    ledger and LayerActivity count it.  On the grid, with headroom
+    (max|W/k|, max|b|), both L1(s) * max|W/k| + max|b| and l1 * max|W/k|
+    must stay below GRID_LIMIT.  That keeps every integral exact, by
+    induction over frames: the first is the bias, exact.  If u is exact
+    before a frame, every partial sum of the frame's delta product is a
+    grid multiple below l1 * max|W/k|, so exact, and the new integral,
+    exactly s @ W/k + b, is a grid multiple below
+    L1(s) * max|W/k| + max|b|, so the one addition that forms it is
+    exact too.  The same two bounds cover every partial sum of the
+    stateless s @ W/k + b, and keep the event counts themselves exact.
+    """
+    if headroom is None:
+        if not l1 < 2.0 ** 63:  # false for inf and NaN too
+            raise ValueError("a layer's event count would not fit int64")
+        return
+    w, b = headroom
+    if not (np.abs(s).sum(axis=-1).max() * w + b < GRID_LIMIT
+            and l1 * w < GRID_LIMIT):
+        raise ValueError("frames would take a grid layer's sums past "
+                         "GRID_LIMIT, where they stop being exact")
+
+
 class SigmaDeltaRuntime:
     """Streaming state for the event-driven executor.
 
@@ -401,26 +441,22 @@ class SigmaDeltaRuntime:
     W/k.  The two kernels differ only in float summation order: event
     counts, ledger charges and LayerActivity are the same whichever ran.
 
-    On a grid net (snap_to_grid) every sum is exact, so the step matches
-    forward_rounding bit for bit.  There a layer first checks that
-    max|u| + n * max|W/k| < GRID_LIMIT, n being its event L1 for the
-    frame, which bounds every partial sum the frame adds to u.  A frame
-    that fails the check is refused.
+    A frame is refused (_check_events) when a layer's event L1 would not
+    fit int64.  On a grid net (snap_to_grid) every sum is exact, so the
+    step matches forward_rounding bit for bit; there a frame is also
+    refused unless, per layer, L1(round(k*a)) * max|W/k| + max|b| and
+    L1(change) * max|W/k| stay below GRID_LIMIT, the rule
+    sigma_delta_stream applies.
 
     A step is all-or-nothing: a non-finite or misshapen frame is rejected
-    before any work, and a step that raises later (a frame past the grid's
-    headroom, or an activity that cannot record the frame) leaves the
-    state, frame count, ledger and activity as they were.
+    before any work, and a step that raises later (a refused frame, or an
+    activity that cannot record the frame) leaves the state, frame count,
+    ledger and activity as they were.
     """
 
     def __init__(self, net):
         self.net = net
-        # what a step reads of each layer, looked up once; the weight bound
-        # is None off the grid, where nothing is checked
-        self._consts = [(l.scale, l.scaled_weights(), l.activation, l.d_out,
-                         DENSE_DELTA_SHARE * l.d_in,
-                         _grid_weight_bound(l) if net.on_grid else None)
-                        for l in net.layers]
+        self._consts = _layer_consts(net)
         self.reset()
 
     def reset(self):
@@ -432,21 +468,17 @@ class SigmaDeltaRuntime:
         a = _check_input(self.net, x)
         # the new state is built aside and committed once nothing can raise
         prevs, us, l1s, adds = [], [], [], 0
-        for (k, wk, act, d_out, dense_rows, bound), prev, u in zip(
+        for (k, wk, act, d_out, dense_rows, headroom), prev, u in zip(
                 self._consts, self._prev, self._u):
             r = round_half_away(a * k)
             d = r - prev
+            l1 = np.abs(d).sum()
+            _check_events(l1, r, headroom)
             idx = d.nonzero()[0]
-            events = d[idx]
-            l1 = np.abs(events).sum()
-            if bound is not None and not (
-                    np.abs(u).max() + l1 * bound < GRID_LIMIT):
-                raise ValueError("frame would take a grid layer's integral "
-                                 "past GRID_LIMIT, where sums stop being exact")
             if idx.size > dense_rows:
                 u = u + d @ wk
             else:
-                u = u + events @ wk.take(idx, axis=0)
+                u = u + d[idx] @ wk.take(idx, axis=0)
             n = int(l1)
             l1s.append(n)
             adds += n * d_out
@@ -489,55 +521,77 @@ def forward_sigma_delta(net, runtime, x, ledger=None, activity=None):
     return runtime.step(x, ledger=ledger, activity=activity)
 
 
-# Frames per chunk of sigma_delta_stream's pass over a grid net: bounds the
-# (frames, width) arrays it holds at once.
+# Frames per chunk of sigma_delta_stream: bounds the (frames, width) arrays
+# it holds at once.
 STREAM_CHUNK = 1000
+
+
+def _integrate(u, d, wk, dense_rows):
+    """The integrals after each row of d, from u: row by row, the delta
+    product SigmaDeltaRuntime.step chooses for those events, added in the
+    step's order by one cumsum along time."""
+    z = np.zeros((d.shape[0] + 1, wk.shape[1]))
+    z[0] = u
+    for t, c in enumerate(np.count_nonzero(d, axis=1).tolist()):
+        row = d[t]
+        if c > dense_rows:
+            np.matmul(row, wk, out=z[t + 1])
+        elif c:  # no events add zeros, the row as it is
+            idx = row.nonzero()[0]
+            np.matmul(row[idx], wk.take(idx, axis=0), out=z[t + 1])
+    return np.cumsum(z, axis=0, out=z)[1:]
 
 
 def sigma_delta_stream(net, frames, ledger=None, activity=None):
     """Run the event-driven network over an ordered set of frames, from a
     fresh runtime.  Returns the per-frame outputs.
 
-    A float net goes frame by frame through SigmaDeltaRuntime.step.  On a
-    grid net (snap_to_grid) the step's integral is exactly the rounding
-    pre-activation, so the stream runs the rounding pass over chunks of
-    STREAM_CHUNK frames; a frame's event L1 per layer is the row sum of
-    |s - s one frame back|, the rounded input's change.  A window is
-    refused before anything is charged unless, per layer and frame,
-    L1(s) * max|W/k| + max|b|, which bounds every partial sum of
-    s @ W/k + b, and L1(change) * max|W/k|, which keeps the event counts
-    exact, stay below GRID_LIMIT.  Outputs, ledger and activity are then
-    the step's to the bit.
+    One layer loop over chunks of STREAM_CHUNK frames.  Per layer it rounds
+    the chunk's inputs to s = round(k*a) and takes their change d = diff(s)
+    along time, from the last s of the chunk before; a frame's event L1 is
+    the row sum of |d|.  On a grid net (snap_to_grid) the step's integral
+    is exactly the rounding pre-activation s @ W/k + b, so that is what
+    the stream computes.  On a float net each frame's delta product is the
+    one the step makes, and one cumsum along time adds them to the carried
+    integral in the step's order.  Either way outputs, ledger and activity
+    are the step's to the bit.
+
+    A window is all-or-nothing: it is checked whole (_check_frames), and a
+    window with a frame the step would refuse (_check_events) raises
+    ValueError before anything is charged.
     """
-    frames = getattr(frames, "frames", frames)
-    if not net.on_grid:
-        frames = np.asarray(frames, dtype=np.float64)
-        rt = SigmaDeltaRuntime(net)
-        out = np.empty((frames.shape[0], net.output_dim))
-        for t, x in enumerate(frames):
-            out[t] = rt.step(x, ledger=ledger, activity=activity)
-        return out
-    X = _check_frames(net, frames)
+    X = _check_frames(net, getattr(frames, "frames", frames))
     out = np.empty((X.shape[0], net.output_dim))
     l1 = np.empty((X.shape[0], len(net.layers)), dtype=np.int64)
+    consts = _layer_consts(net)
     prev = [np.zeros(l.d_in) for l in net.layers]
+    u = [l.bias for l in net.layers]
     for lo in range(0, X.shape[0], STREAM_CHUNK):
         rows = slice(lo, lo + STREAM_CHUNK)
-        for i, (layer, s, a) in enumerate(_passes(net, X[rows], snap=True)):
-            n = np.abs(np.diff(s, axis=0, prepend=prev[i][None])).sum(axis=1)
-            w = _grid_weight_bound(layer)
-            if not (np.abs(s).sum(axis=1).max() * w + np.abs(layer.bias).max()
-                    < GRID_LIMIT and n.max() * w < GRID_LIMIT):
-                raise ValueError("frames would take a grid layer's sums past "
-                                 "GRID_LIMIT, where they stop being exact")
+        a = X[rows]
+        for i, (k, wk, act, _, dense_rows, headroom) in enumerate(consts):
+            s = round_half_away(a * k)
+            # diff(s, prepend=prev[i]) without np.diff's concatenated copy
+            d = np.empty_like(s)
+            np.subtract(s[0], prev[i], out=d[0])
+            np.subtract(s[1:], s[:-1], out=d[1:])
+            n = np.abs(d).sum(axis=1)
+            _check_events(n.max(), s, headroom)
+            if net.on_grid:
+                z = s @ wk + net.layers[i].bias
+            else:
+                z = _integrate(u[i], d, wk, dense_rows)
+                u[i] = z[-1]
             l1[rows, i] = n
             prev[i] = s[-1]
+            a = apply_activation(act, z)
         out[rows] = a
     if activity is not None:
         activity.record_frames(l1=l1)
     if ledger is not None:
-        ledger.int_adds += sum(int(n) * d for n, d in
-                               zip(l1.sum(axis=0), net.dims[1:]))
+        # Python ints, as the step adds them: int64 sums could wrap
+        ledger.int_adds += sum(n * d for n, d in
+                               zip(l1.sum(axis=0, dtype=object), net.dims[1:]))
     return out
 
 

@@ -18,13 +18,17 @@ from tests.test_network import random_net
 UNIT = 2.0 ** GRID_FRAC_BITS
 
 
-def grid_nets(rng):
+def stream_nets(rng):
     """A layerwise relu/identity net and a unitwise net ending in softmax."""
     layerwise = random_net(rng, [12, 9, 7, 4], scale_range=(0.5, 4.0))
     unitwise = random_net(rng, [10, 8, 6], acts=["relu", "softmax"])
     unitwise = unitwise.with_scales([rng.uniform(0.5, 4.0, 10),
                                      rng.uniform(0.5, 4.0, 8)])
-    return [snap_to_grid(layerwise), snap_to_grid(unitwise)]
+    return [layerwise, unitwise]
+
+
+def grid_nets(rng):
+    return [snap_to_grid(net) for net in stream_nets(rng)]
 
 
 def stream(rng, n, d, smoothness):
@@ -258,6 +262,20 @@ class TestHeadroom:
         rt.step(x)
         with pytest.raises(ValueError):
             rt.step(-x)
+
+    def test_step_and_stream_accept_the_same_windows(self):
+        # x then -x: each frame's sums, and the change between them, stay
+        # below GRID_LIMIT, though max|u| after x plus the change's bound
+        # does not
+        net = snap_to_grid(NetworkSpec(huge_frame_net().layers[:1]))
+        x = np.zeros(20)
+        x[3] = 0.2 * network.GRID_LIMIT / network._grid_weight_bound(
+            net.layers[0])
+        X = np.stack([x, -x])
+        want = rounding_batch(net, X)
+        rt = SigmaDeltaRuntime(net)
+        assert np.array_equal(np.array([rt.step(x) for x in X]), want)
+        assert np.array_equal(network.sigma_delta_stream(net, X), want)
 
     def test_frame_below_headroom_is_kept(self):
         # a large frame the grid can still add exactly is not refused
