@@ -408,7 +408,7 @@ def _check_events(l1, s, headroom):
     ledger and LayerActivity count it.  On the grid, with headroom
     (max|W/k|, max|b|), both L1(s) * max|W/k| + max|b| and l1 * max|W/k|
     must stay below GRID_LIMIT.  That keeps every integral exact, by
-    induction over frames: the first is the bias, exact.  If u is exact
+    induction over frames: u starts at the bias, exact.  If u is exact
     before a frame, every partial sum of the frame's delta product is a
     grid multiple below l1 * max|W/k|, so exact, and the new integral,
     exactly s @ W/k + b, is a grid multiple below

@@ -274,7 +274,7 @@ class TestHeadroom:
         X = np.stack([x, -x])
         want = rounding_batch(net, X)
         rt = SigmaDeltaRuntime(net)
-        assert np.array_equal(np.array([rt.step(x) for x in X]), want)
+        assert np.array_equal(np.array([rt.step(f) for f in X]), want)
         assert np.array_equal(network.sigma_delta_stream(net, X), want)
 
     def test_frame_below_headroom_is_kept(self):
