@@ -153,36 +153,73 @@ def temporal_reshuffle(ds, buffer_size=1000, rng=None):
     The frames are first put in random order, then greedily re-sequenced:
     a fixed-size buffer of candidates is kept, the candidate closest (L2)
     to the current frame becomes the next frame, and its slot is refilled
-    from the unseen pool.  The result is a permutation of the input.
+    from the unseen pool; once the pool is empty the last slot moves into
+    the gap.  The result is a permutation of the input.
+
+    "Closest" means the smallest ``((c - x) ** 2).sum()``, the first in
+    buffer order among equals, and the order is the one a direct scan of
+    the whole buffer gives; but that sum is only computed for a narrow
+    band of candidates.  Every candidate c is first scored in one GEMV per
+    frame as ``|c|^2 - 2 c.x + |x|^2``, with the squared norms computed
+    once per call.  With M the largest frame norm (floored at 2**-511) and
+
+        delta = (d + 8) * 2**-52 * (2M)**2,
+
+    the expansion and the direct sum each lie within delta of the exact
+    squared distance D, in any summation order: the direct sum is within
+    (d + 2) * 2**-53 * D, D <= (2M)^2, and the three d-term sums of the
+    expansion are within d * 2**-53 * M^2 each, plus two roundings of
+    values below (2M)^2.  The floor makes delta cover the absolute error
+    of subnormal products too.  So a candidate whose expansion is more
+    than 4 * delta above the smallest has a direct sum strictly larger
+    than the best candidate's.  Only the candidates within 4 * delta are
+    measured directly; every minimiser of the direct sums is among them,
+    and the first in buffer order wins as in a full scan.  numpy sums each
+    row of a C-ordered array on its own, so a row's sum does not depend on
+    which other rows are measured with it.
+
+    Raises ValueError, before drawing from rng, for an empty dataset or
+    any frame that is not finite or whose squared norm is not.
     """
     if len(ds) == 0:
         raise ValueError("cannot reshuffle an empty dataset")
     if buffer_size < 1:
         raise ValueError("buffer_size must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng()
-    n = len(ds)
-    order = rng.permutation(n)
     frames = ds.frames
+    sq = np.einsum("ij,ij->i", frames, frames)
+    if not np.all(np.isfinite(sq)):
+        raise ValueError("cannot reshuffle frames that are not finite "
+                         "or whose squared norm is not")
+    rng = rng if rng is not None else np.random.default_rng()
+    n, d = frames.shape
+    order = rng.permutation(n)
+    # 4 * delta; infinite when (2M)^2 overflows, so that every candidate
+    # is measured directly
+    band = 4 * (d + 8) * 2.0**-52 * (4.0 * max(sq.max(), 2.0**-1022))
 
     seq = np.empty(n, dtype=np.int64)
     seq[0] = order[0]
-    buf = list(order[1:1 + buffer_size])
+    # the buffer: slot i holds frame idx[i] and its squared norm
+    idx = order[1:1 + buffer_size].copy()
+    cand = frames[idx]
+    cand_sq = sq[idx]
+    m = len(idx)
     pool = iter(order[1 + buffer_size:])
-    current = frames[seq[0]]
-    pos = 1
-    while buf:
-        cand = frames[buf]
-        d2 = ((cand - current) ** 2).sum(axis=1)
-        w = int(np.argmin(d2))
-        seq[pos] = buf[w]
-        current = frames[buf[w]]
-        pos += 1
+    for pos in range(1, n):
+        cur = seq[pos - 1]
+        current = frames[cur]
+        e = cand_sq[:m] - 2.0 * (cand[:m] @ current) + sq[cur]
+        # "not above" keeps every row when the threshold is NaN or infinite
+        near = np.flatnonzero(~(e > e.min() + band))
+        d2 = ((frames[idx[near]] - current) ** 2).sum(axis=1)
+        w = near[np.argmin(d2)]
+        seq[pos] = idx[w]
         nxt = next(pool, None)
         if nxt is not None:
-            buf[w] = nxt
+            idx[w], cand[w], cand_sq[w] = nxt, frames[nxt], sq[nxt]
         else:
-            buf[w] = buf[-1]
-            buf.pop()
+            m -= 1
+            idx[w], cand[w], cand_sq[w] = idx[m], cand[m], cand_sq[m]
     labels = None if ds.labels is None else ds.labels[seq]
     return FrameDataset(frames[seq], labels, ordering="temporal")
 

@@ -13,6 +13,7 @@ genuinely differentiable and tends to stabilize aggressive
 computation-reduction runs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,14 +122,24 @@ def error_loss(y_round, y_true, distance):
     y_true = np.asarray(y_true, dtype=np.float64)
     if y_round.shape != y_true.shape:
         raise ValueError("outputs must have matching shapes")
+    if distance == "kl":
+        _check_probabilities(y_round, "y_round")
+    return _distance(y_round, y_true, distance)
+
+
+def _check_probabilities(y, name):
+    if np.any(y < -1e-9) or np.any(np.abs(y.sum(axis=-1) - 1.0) > 1e-6):
+        raise ValueError(f"KL requires probability vectors ({name})")
+
+
+def _distance(y_round, y_true, distance):
+    """error_loss for float64 arrays of one shape, checking y_true only:
+    grad_kappa's y_round is a softmax of finite values."""
     if distance == "l2":
         return float(np.mean(np.linalg.norm(
             np.atleast_2d(y_round - y_true), axis=-1)))
     if distance == "kl":
-        for name, y in (("y_round", y_round), ("y_true", y_true)):
-            if np.any(y < -1e-9) or np.any(
-                    np.abs(y.sum(axis=-1) - 1.0) > 1e-6):
-                raise ValueError(f"KL requires probability vectors ({name})")
+        _check_probabilities(y_true, "y_true")
         t = np.atleast_2d(y_true)
         q = np.maximum(np.atleast_2d(y_round), _PROB_FLOOR)
         terms = np.where(t > 0, t * (np.log(np.maximum(t, _PROB_FLOOR)) - np.log(q)), 0.0)
@@ -156,8 +167,9 @@ def _as_batch(net, x):
 def _forward_trace(net, X, kappas, surrogate, rng):
     """Run the scaled quantized forward on a batch, keeping everything the
     backward pass needs.  A, Z, S and R have one entry per layer input (S
-    is the surrogate's stand-in for round(z), R is S/k); U one per layer
-    pre-activation.
+    is the surrogate's stand-in for round(z), R is S/k).  Pre-activations
+    are not kept: the activations' backward passes need only their
+    outputs.
 
     This keeps its own loop rather than network._passes: k changes every
     step, so it divides the batch, (s/k) @ W.  Installing the new scales in
@@ -166,7 +178,7 @@ def _forward_trace(net, X, kappas, surrogate, rng):
     784-200-200-10 net, one BLAS thread, 2 vCPUs)."""
     if surrogate == "noise" and rng is None:
         raise ValueError("the noise surrogate needs an rng")
-    A, Z, S, R, U = [X], [], [], [], []
+    A, Z, S, R = [X], [], [], []
     a = X
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         for layer, kappa in zip(net.layers, kappas):
@@ -179,19 +191,22 @@ def _forward_trace(net, X, kappas, surrogate, rng):
             else:  # identity: quantization disabled
                 s = z
             r = s / k
-            u = r @ layer.weights + layer.bias
-            a = apply_activation(layer.activation, u)
+            a = r @ layer.weights
+            a += layer.bias
+            if layer.activation == "relu":
+                np.maximum(a, 0.0, out=a)
+            else:
+                a = apply_activation(layer.activation, a)
             Z.append(z)
             S.append(s)
             R.append(r)
-            U.append(u)
             A.append(a)
     if not np.all(np.isfinite(A[-1])):
         with np.errstate(over="ignore"):
             scales = [float(np.max(np.exp(np.asarray(k)))) for k in kappas]
         raise ValueError(
             f"non-finite activations in scaled forward (max scales {scales})")
-    return A, Z, S, R, U
+    return A, Z, S, R
 
 
 def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
@@ -207,7 +222,7 @@ def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
     return A[-1][0] if single else A[-1]
 
 
-def _loss_gradient(distance, last_activation, Y, T, U_last):
+def _loss_gradient(distance, last_activation, Y, T):
     """dL/dU for the final layer, L averaged over the batch."""
     n = Y.shape[0]
     if distance == "kl":
@@ -216,19 +231,20 @@ def _loss_gradient(distance, last_activation, Y, T, U_last):
             # loss value, not this exact form.
             return (Y - T) / n
         g = -T / np.maximum(Y, _PROB_FLOOR) / n
-        return _through_activation(last_activation, g, Y, U_last)
+        return _through_activation(last_activation, g, Y)
     # l2: gradient of the norm, zero at exact agreement
     diff = Y - T
     norms = np.linalg.norm(diff, axis=1, keepdims=True)
     g = np.where(norms > 1e-30, diff / np.maximum(norms, 1e-30), 0.0) / n
-    return _through_activation(last_activation, g, Y, U_last)
+    return _through_activation(last_activation, g, Y)
 
 
-def _through_activation(name, g, a, u):
+def _through_activation(name, g, a):
     if name == "identity":
         return g
     if name == "relu":
-        return g * (u > 0)
+        # a = max(u, 0), so a > 0 exactly where u > 0
+        return g * (a > 0)
     # softmax Jacobian, rowwise
     return a * (g - (g * a).sum(axis=1, keepdims=True))
 
@@ -250,28 +266,36 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     if y_true is None:
         y_true = dense_batch(net, X)
     T = np.atleast_2d(np.asarray(y_true, dtype=np.float64))
+    dims = net.dims
+    if T.shape != (n, dims[-1]):
+        raise ValueError("outputs must have matching shapes")
     distance = cfg.resolve_distance(net)
 
-    A, Z, S, R, U = _forward_trace(net, X, kappas, cfg.surrogate, rng)
+    A, Z, S, R = _forward_trace(net, X, kappas, cfg.surrogate, rng)
     Y = A[-1]
-    dims = net.dims
 
     grads = []
     g = None
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if i == len(net.layers) - 1:
-            dU = _loss_gradient(distance, layer.activation, Y, T, U[i])
+            dU = _loss_gradient(distance, layer.activation, Y, T)
         else:
-            dU = _through_activation(layer.activation, g, A[i + 1], U[i])
+            dU = _through_activation(layer.activation, g, A[i + 1])
         dR = dU @ layer.weights.T
-        err_term = dR * (A[i] - R[i])
-        comp_term = cfg.lam * dims[i + 1] * np.abs(Z[i]) / n
+        # R[i] is not needed again: it becomes the error term
+        err_term = np.subtract(A[i], R[i], out=R[i])
+        err_term *= dR
+        comp_term = np.abs(Z[i])
+        comp_term *= cfg.lam * dims[i + 1]
+        comp_term /= n
         if cfg.unitwise:
             gk = err_term.sum(axis=0) + comp_term.sum(axis=0)
+            finite = np.all(np.isfinite(gk))
         else:
             gk = float(err_term.sum() + comp_term.sum())
-        if not np.all(np.isfinite(gk)):
+            finite = math.isfinite(gk)
+        if not finite:
             raise ValueError(f"non-finite gradient at layer {i}")
         grads.append(gk)
         g = dR
@@ -285,7 +309,7 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     round_flops = (sum(l1 * dims[i + 1] for i, l1 in enumerate(l1_mean))
                    + sum(dims[1:]))
     info = {
-        "error_loss": error_loss(Y, T, distance),
+        "error_loss": _distance(Y, T, distance),
         "comp_loss": comp,
         "round_flops": round_flops,
         "l1_mean": l1_mean,

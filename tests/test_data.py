@@ -126,6 +126,115 @@ class TestTemporalReshuffle:
             assert lookup[tuple(f)] == l
 
 
+def reference_reshuffle(ds, buffer_size, rng):
+    """The greedy loop as first written: every candidate measured directly,
+    once per output frame.  Returns the order as indices into ds."""
+    n = len(ds)
+    order = rng.permutation(n)
+    frames = ds.frames
+
+    seq = np.empty(n, dtype=np.int64)
+    seq[0] = order[0]
+    buf = list(order[1:1 + buffer_size])
+    pool = iter(order[1 + buffer_size:])
+    current = frames[seq[0]]
+    pos = 1
+    while buf:
+        cand = frames[buf]
+        d2 = ((cand - current) ** 2).sum(axis=1)
+        w = int(np.argmin(d2))
+        seq[pos] = buf[w]
+        current = frames[buf[w]]
+        pos += 1
+        nxt = next(pool, None)
+        if nxt is not None:
+            buf[w] = nxt
+        else:
+            buf[w] = buf[-1]
+            buf.pop()
+    return seq
+
+
+def digit_like(rng, n, side=28):
+    """Stroke-ish 28x28 frames on the 1/255 grid: a few blurred random
+    templates, shifted, scaled and noised."""
+    templates = (rng.uniform(size=(4, side, side)) > 0.85).astype(float)
+    templates = (templates + np.roll(templates, 1, 1) + np.roll(templates, 1, 2)) / 2
+    pick = rng.integers(0, len(templates), n)
+    shifts = rng.integers(-2, 3, (n, 2))
+    frames = np.stack([np.roll(templates[p], tuple(s), (0, 1))
+                       for p, s in zip(pick, shifts)])
+    frames = frames * rng.uniform(0.7, 1.0, (n, 1, 1))
+    frames += rng.normal(0, 0.08, frames.shape)
+    return np.round(np.clip(frames, 0, 1).reshape(n, -1) * 255) / 255
+
+
+def near_ties(rng, n, width=64):
+    """Copies of one frame, each moved a few ulps in one of a few pixels:
+    distances the norm expansion cannot tell apart."""
+    base = np.round(rng.uniform(size=width) * 255) / 255
+    frames = np.tile(base, (n, 1))
+    for i in range(n):
+        p = rng.integers(0, 4)
+        for _ in range(rng.integers(0, 3)):
+            frames[i, p] = np.nextafter(frames[i, p], 2.0)
+    return frames
+
+
+ORACLE_CASES = {
+    # name: (frames from an rng, buffer size)
+    "digits": (lambda rng: digit_like(rng, 150), 40),
+    "gaussian": (lambda rng: rng.standard_normal((200, 48)), 30),
+    "duplicates": (lambda rng: np.repeat(digit_like(rng, 20), 4, axis=0), 16),
+    "near-ties": (lambda rng: near_ties(rng, 80), 25),
+    # squares of these are subnormal, their rounding error absolute
+    "subnormal": (lambda rng: digit_like(rng, 60) * 2.0**-535, 10),
+    "buffer-1": (lambda rng: digit_like(rng, 30), 1),
+    "buffer-n": (lambda rng: rng.standard_normal((40, 8)), 40),
+    "buffer-past-n": (lambda rng: digit_like(rng, 25), 100),
+    "n-1": (lambda rng: rng.standard_normal((1, 8)), 5),
+    "n-2": (lambda rng: rng.standard_normal((2, 8)), 5),
+}
+
+
+class TestReshuffleOracle:
+    """temporal_reshuffle picks the frames the direct loop picks."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_order_as_direct_loop(self, case, seed):
+        make, buffer_size = ORACLE_CASES[case]
+        frames = make(np.random.default_rng(100 + seed))
+        ds = FrameDataset(frames, np.arange(len(frames)))
+        want = reference_reshuffle(ds, buffer_size, np.random.default_rng(seed))
+        out = temporal_reshuffle(ds, buffer_size, np.random.default_rng(seed))
+        assert np.array_equal(out.labels, want)
+        assert np.array_equal(out.frames, frames[want])
+
+    def test_same_order_when_distances_overflow(self):
+        # squared norms up to 1e308 are finite, but (2 * max norm)^2 and,
+        # for a duplicated frame, 2 c.x overflow: every candidate is
+        # measured directly
+        frames = np.random.default_rng(7).standard_normal((15, 8))
+        frames = np.repeat(frames * 1e154 / np.linalg.norm(frames, axis=1).max(),
+                           2, axis=0)
+        ds = FrameDataset(frames, np.arange(30))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_reshuffle(ds, 6, np.random.default_rng(3))
+            out = temporal_reshuffle(ds, 6, np.random.default_rng(3))
+        assert np.array_equal(out.labels, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_frames_refused_before_drawing(self, bad):
+        frames = np.random.default_rng(8).standard_normal((10, 4))
+        frames[6, 2] = bad
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            temporal_reshuffle(FrameDataset(frames), 4, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestRandomNetwork:
     def test_same_seed_same_net(self):
         a = gen_random_network(np.random.default_rng(10))
