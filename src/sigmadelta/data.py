@@ -167,16 +167,17 @@ def temporal_reshuffle(ds, buffer_size=1000, rng=None):
 
     the expansion and the direct sum each lie within delta of the exact
     squared distance D, in any summation order: the direct sum is within
-    (d + 2) * 2**-53 * D, D <= (2M)^2, and the three d-term sums of the
-    expansion are within d * 2**-53 * M^2 each, plus two roundings of
-    values below (2M)^2.  The floor makes delta cover the absolute error
-    of subnormal products too.  So a candidate whose expansion is more
-    than 4 * delta above the smallest has a direct sum strictly larger
-    than the best candidate's.  Only the candidates within 4 * delta are
-    measured directly; every minimiser of the direct sums is among them,
-    and the first in buffer order wins as in a full scan.  numpy sums each
-    row of a C-ordered array on its own, so a row's sum does not depend on
-    which other rows are measured with it.
+    about (d + 2) * 2**-53 * D, D <= (2M)^2, and the three d-term sums of
+    the expansion within d * 2**-53 * M^2 each (the dot product's counts
+    twice), plus two roundings of values below (2M)^2.  The floor makes
+    delta cover the absolute error of subnormal products too.  So a
+    candidate whose expansion is more than 4 * delta above the smallest
+    has a direct sum strictly larger than the best candidate's.  Only the
+    candidates within 4 * delta are measured directly; every minimiser of
+    the direct sums is among them, and the first in buffer order wins as
+    in a full scan.  numpy sums each row of a C-ordered array on its own,
+    so a row's sum does not depend on which other rows are measured with
+    it.
 
     Raises ValueError, before drawing from rng, for an empty dataset or
     any frame that is not finite or whose squared norm is not.
@@ -193,13 +194,12 @@ def temporal_reshuffle(ds, buffer_size=1000, rng=None):
     rng = rng if rng is not None else np.random.default_rng()
     n, d = frames.shape
     order = rng.permutation(n)
-    # 4 * delta; infinite when (2M)^2 overflows, so that every candidate
-    # is measured directly
+    # 4 * delta; infinite when (2M)^2 overflows, so every row is measured
     band = 4 * (d + 8) * 2.0**-52 * (4.0 * max(sq.max(), 2.0**-1022))
 
     seq = np.empty(n, dtype=np.int64)
     seq[0] = order[0]
-    # the buffer: slot i holds frame idx[i] and its squared norm
+    # buffer slot i holds frame idx[i]: row cand[i], squared norm cand_sq[i]
     idx = order[1:1 + buffer_size].copy()
     cand = frames[idx]
     cand_sq = sq[idx]
