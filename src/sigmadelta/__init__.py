@@ -16,8 +16,7 @@ from .quantizers import (DeltaHerder, Herder, TemporalDifference,
                          round_half_away, scaled_round)
 from .network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                       TemporalDiffRuntime, bake_scales, forward_original,
-                      forward_rounding, forward_sigma_delta,
-                      forward_temporal_diff, load_network, save_network,
+                      forward_rounding, load_network, save_network,
                       snap_to_grid)
 from .costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity, energy,
                     flops_dense, flops_rounding, flops_sigma_delta,
@@ -34,8 +33,7 @@ __all__ = [
     "DeltaHerder", "Herder", "TemporalDifference", "TemporalIntegrator",
     "noisy_round_surrogate", "round_half_away", "scaled_round",
     "LayerSpec", "NetworkSpec", "SigmaDeltaRuntime", "TemporalDiffRuntime",
-    "bake_scales", "forward_original", "forward_rounding",
-    "forward_sigma_delta", "forward_temporal_diff", "load_network",
+    "bake_scales", "forward_original", "forward_rounding", "load_network",
     "save_network", "snap_to_grid",
     "DEFAULT_ENERGY_TABLE", "EnergyTable", "LayerActivity", "energy",
     "flops_dense", "flops_rounding", "flops_sigma_delta", "flops_sparse",

@@ -55,7 +55,8 @@ class LayerActivity:
     One object records one kind of pass: either dense nonzero counts (from
     the original network) or discrete L1 magnitudes (from the rounding or
     sigma-delta networks).  Totals are sums over all recorded frames;
-    divide by .frames for per-frame means.
+    divide by .frames for per-frame means.  They are Python ints in object
+    arrays, so they stay exact where int64 sums would wrap.
     """
 
     def __init__(self, fanouts):
@@ -63,8 +64,8 @@ class LayerActivity:
         if not fanouts or any(d < 1 for d in fanouts):
             raise ValueError("fanouts must be positive layer widths")
         self.fanouts = fanouts
-        self.nonzero = np.zeros(len(fanouts), dtype=np.int64)
-        self.l1 = np.zeros(len(fanouts), dtype=np.int64)
+        self.nonzero = np.zeros(len(fanouts), dtype=object)
+        self.l1 = np.zeros(len(fanouts), dtype=object)
         self.frames = 0
         self._kind = None
 
@@ -79,13 +80,15 @@ class LayerActivity:
         if self._kind is not None and self._kind != kind:
             raise ValueError(
                 f"this activity records {self._kind} frames, got {kind}")
-        values = nonzero if nonzero is not None else l1
+        # int(), not int64: adding a numpy integer would make a total int64
+        values = [int(v) for v in (nonzero if nonzero is not None else l1)]
         if len(values) != len(self.fanouts):
             raise ValueError(
                 f"expected {len(self.fanouts)} per-layer values, got {len(values)}")
         self._kind = kind  # only once a frame is valid
         target = self.nonzero if nonzero is not None else self.l1
-        target += np.asarray(values, dtype=np.int64)
+        for i, v in enumerate(values):
+            target[i] += v
         self.frames += 1
 
     def record_frames(self, nonzero=None, l1=None):
@@ -100,7 +103,7 @@ class LayerActivity:
         if values.ndim != 2:
             raise ValueError(
                 f"expected a (frames, layers) array, got shape {values.shape}")
-        self.record_frame(**{kind: values.sum(axis=0)})
+        self.record_frame(**{kind: values.sum(axis=0, dtype=object)})
         self.frames += values.shape[0] - 1
 
     def __repr__(self):

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import __version__
 from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, _write_csv, energy,
-                    flops_dense, flops_rounding, flops_sparse, write_report_csv)
+                    flops_dense, flops_rounding, flops_sigma_delta,
+                    flops_sparse, write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
 from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
-                      forward_original, forward_rounding, forward_sigma_delta,
-                      forward_temporal_diff, load_network, rounding_batch,
-                      sigma_delta_stream, snap_to_grid)
+                      forward_original, forward_rounding, load_network,
+                      rounding_batch, sigma_delta_stream, snap_to_grid)
 from .scale_opt import DivergenceError, TradeoffConfig, error_loss, optimize
 
 __all__ = [
@@ -85,7 +85,9 @@ def equivalence_check(net=None, frames=None, seed=0, n_frames=500,
 
     Reports the worst deviation of the sigma-delta network from the
     rounding network (relative), of the temporal-difference network from
-    the original (absolute), and the op totals of each executor.
+    the original (absolute), and the op totals of each executor: the
+    dense count per frame, and the closed forms on the events that
+    rounding_batch and the sigma-delta step record.
     """
     rng = np.random.default_rng(seed)
     if net is None:
@@ -97,30 +99,32 @@ def equivalence_check(net=None, frames=None, seed=0, n_frames=500,
                                    smoothness).frames
     frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
 
-    led_orig, led_round, led_sd = OpLedger(), OpLedger(), OpLedger()
+    act_sd = LayerActivity.for_network(net)
     td_rt = TemporalDiffRuntime(net)
     sd_rt = SigmaDeltaRuntime(net)
     max_sd_rel = 0.0
     max_td_abs = 0.0
     for x in frames:
-        y_orig = forward_original(net, x, ledger=led_orig)
-        y_td = forward_temporal_diff(net, td_rt, x)
-        y_round = forward_rounding(net, x, ledger=led_round)
-        y_sd = forward_sigma_delta(net, sd_rt, x, ledger=led_sd)
+        y_orig = forward_original(net, x)
+        y_td = td_rt.step(x)
+        y_round = forward_rounding(net, x)
+        y_sd = sd_rt.step(x, activity=act_sd)
         # relative to the frame's output magnitude, floored so all-zero
         # output frames compare float dust against a fixed small scale
         denom = max(float(np.max(np.abs(y_round))), 1e-6)
         max_sd_rel = max(max_sd_rel, float(np.max(np.abs(y_sd - y_round))) / denom)
         max_td_abs = max(max_td_abs, float(np.max(np.abs(y_td - y_orig))))
+    act_round = LayerActivity.for_network(net)
+    rounding_batch(net, frames, activity=act_round)
     report = {
         "frames": int(frames.shape[0]),
         "max_sigma_delta_vs_rounding_rel": max_sd_rel,
         "max_temporal_diff_vs_original_abs": max_td_abs,
         "sd_tol": sd_tol,
         "td_tol": td_tol,
-        "ops_original": led_orig.total_ops,
-        "ops_rounding": led_round.total_ops,
-        "ops_sigma_delta": led_sd.total_ops,
+        "ops_original": frames.shape[0] * flops_dense(net.dims),
+        "ops_rounding": flops_rounding(act_round),
+        "ops_sigma_delta": flops_sigma_delta(act_sd),
         "passed": bool(max_sd_rel <= sd_tol and max_td_abs <= td_tol),
     }
     return report
@@ -261,11 +265,10 @@ def _evaluate_setting(net_k, setting, datasets, orig_row):
             "energy_nj": _nj(OpLedger(int_adds=flops_rounding(act_round)),
                              act_round.frames),
         })
-        led_sd = OpLedger()
-        sd_test_out = sigma_delta_stream(net_k, splits["test"], ledger=led_sd)
+        act_sd = LayerActivity.for_network(net_k)
+        sd_test_out = sigma_delta_stream(net_k, splits["test"], activity=act_sd)
         sd_train_out = sigma_delta_stream(net_k, splits["train"])
-        n_test = sd_test_out.shape[0]
-        sd_flops = led_sd.int_adds / n_test
+        sd_flops = flops_sigma_delta(act_sd) / act_sd.frames
         sd_err_test = classification_error(sd_test_out, splits["test"].labels)
         rows.append({
             "setting": setting, "net_type": "sigma_delta", "dataset": ds_name,
@@ -273,7 +276,8 @@ def _evaluate_setting(net_k, setting, datasets, orig_row):
             "class_error_train": classification_error(
                 sd_train_out, splits["train"].labels),
             "class_error_test": sd_err_test,
-            "energy_nj": _nj(led_sd, n_test),
+            "energy_nj": _nj(OpLedger(int_adds=flops_sigma_delta(act_sd)),
+                             act_sd.frames),
         })
         entry[f"sd_kflops_{ds_name}"] = sd_flops / 1000.0
         entry[f"sd_err_test_{ds_name}"] = sd_err_test

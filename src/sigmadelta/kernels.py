@@ -49,14 +49,6 @@ class OpLedger:
     def total_ops(self):
         return self.total_adds + self.total_mults
 
-    def merge(self, other):
-        """Sum another ledger into this one and return self."""
-        self.float_adds += other.float_adds
-        self.float_mults += other.float_mults
-        self.int_adds += other.int_adds
-        self.int_mults += other.int_mults
-        return self
-
     def copy(self):
         return OpLedger(self.float_adds, self.float_mults,
                         self.int_adds, self.int_mults)

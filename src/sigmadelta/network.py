@@ -4,11 +4,11 @@ A NetworkSpec is a frozen stack of affine layers with activations and a
 per-layer input-discretization scale k.  Four executors compute (nearly)
 the same function at very different costs:
 
-  forward_original      dense pass, the reference function
-  forward_temporal_diff streams undiscretized changes; exactly the original
-  forward_rounding      quantizes each layer input to the 1/k grid, stateless
-  forward_sigma_delta   herds the *change* in quantized input; same function
-                        as forward_rounding, but repeated inputs cost nothing
+  forward_original     dense pass, the reference function
+  TemporalDiffRuntime  streams undiscretized changes; exactly the original
+  forward_rounding     quantizes each layer input to the 1/k grid, stateless
+  SigmaDeltaRuntime    herds the *change* in quantized input; same function
+                       as forward_rounding, but repeated inputs cost nothing
 
 The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
@@ -16,6 +16,11 @@ dense_batch and rounding_batch evaluate the first and third over the rows
 of a batch, through the same layer loop; sigma_delta_stream runs the last
 over an ordered set of frames, one layer at a time over chunks of frames,
 and gets the per-frame executor's outputs and op counts to the bit.
+
+The per-frame passes count nothing: a dense frame costs the constant
+flops_dense(net.dims), and rounding_batch records in a LayerActivity what
+forward_rounding's frames cost.  The sigma-delta step and stream record
+their events in a LayerActivity (and an OpLedger, if given one).
 
 snap_to_grid puts a network on an exact grid, where the sigma-delta
 network equals the rounding network bit for bit.
@@ -41,8 +46,6 @@ __all__ = [
     "forward_rounding",
     "dense_batch",
     "rounding_batch",
-    "forward_temporal_diff",
-    "forward_sigma_delta",
     "TemporalDiffRuntime",
     "SigmaDeltaRuntime",
     "sigma_delta_stream",
@@ -271,37 +274,24 @@ def _passes(net, X, snap):
         yield layer, s, a
 
 
-def forward_original(net, x, ledger=None, activity=None):
-    """Reference dense pass.  Ledger counts the full multiply-accumulate cost."""
-    nonzero = []
-    for layer, s, a in _passes(net, _check_input(net, x), snap=False):
-        if ledger is not None:
-            ledger.float_mults += layer.d_in * layer.d_out
-            ledger.float_adds += layer.d_in * layer.d_out
-        if activity is not None:
-            nonzero.append(int(np.count_nonzero(s)))
-    if activity is not None:
-        activity.record_frame(nonzero=nonzero)
+def forward_original(net, x):
+    """Reference dense pass: one multiply and one add per weight, so
+    flops_dense(net.dims) ops per frame."""
+    for _, _, a in _passes(net, _check_input(net, x), snap=False):
+        pass
     return a
 
 
-def forward_rounding(net, x, ledger=None, activity=None):
+def forward_rounding(net, x):
     """Stateless quantized pass: each layer input is snapped to its 1/k grid.
 
     Computes round(k*a) @ (W/k) + b densely.  The integer part round(k*a)
-    stands for |s|_L1 unit events into weights/k, so the ledger gains
-    |s|_L1 * d_out event additions plus d_out bias additions per layer.
+    stands for |s|_L1 unit events into weights/k, so a layer costs
+    |s|_L1 * d_out event additions plus d_out bias additions: what
+    rounding_batch records for the same frames, and flops_rounding prices.
     """
-    counted = ledger is not None or activity is not None
-    l1s = []
-    for layer, s, a in _passes(net, _check_input(net, x), snap=True):
-        if counted:
-            n = int(np.abs(s).sum())
-            l1s.append(n)
-            if ledger is not None:
-                ledger.int_adds += (n + 1) * layer.d_out  # events + bias adds
-    if activity is not None:
-        activity.record_frame(l1=l1s)
+    for _, _, a in _passes(net, _check_input(net, x), snap=True):
+        pass
     return a
 
 
@@ -338,7 +328,10 @@ class TemporalDiffRuntime:
     """Streaming state for the temporal-difference executor.
 
     Each layer keeps the last input seen and an integrated pre-activation
-    that starts at the bias, so the bias is added once per sequence.
+    that starts at the bias, so the bias is added once per sequence.  step
+    communicates raw (undiscretized) changes and re-integrates after each
+    linear map, so every frame's output equals forward_original on that
+    frame regardless of history.
     """
 
     def __init__(self, net):
@@ -359,18 +352,6 @@ class TemporalDiffRuntime:
             self._prev[i], self._u[i] = a, u
             a = apply_activation(layer.activation, u)
         return a.copy()
-
-
-def forward_temporal_diff(net, runtime, x):
-    """One frame through the temporal-difference network.
-
-    Communicates raw (undiscretized) changes and re-integrates after each
-    linear map, so every frame's output equals forward_original on that
-    frame regardless of history.
-    """
-    if runtime.net is not net:
-        raise ValueError("runtime was built for a different network")
-    return runtime.step(x)
 
 
 # A layer adds the full delta product d @ W/k when more than this share of
@@ -404,8 +385,8 @@ def _check_events(l1, s, headroom):
     """Refuse, with ValueError, a layer's frame (s its rounded input round(k*a),
     l1 its event L1) or frames (s as rows, l1 their largest event L1).
 
-    Off the grid (headroom None) the event L1 must fit int64, where the
-    ledger and LayerActivity count it.  On the grid, with headroom
+    Off the grid (headroom None) the event L1 must fit int64, where
+    sigma_delta_stream holds a frame's count.  On the grid, with headroom
     (max|W/k|, max|b|), both L1(s) * max|W/k| + max|b| and l1 * max|W/k|
     must stay below GRID_LIMIT.  That keeps every integral exact, by
     induction over frames: u starts at the bias, exact.  If u is exact
@@ -434,7 +415,8 @@ class SigmaDeltaRuntime:
     pre-activation u seeded with the bias.  Each frame sends the change in
     the rounded input as integer events, so activation(u) matches what
     forward_rounding computes on the current frame alone (up to float
-    accumulation drift).
+    accumulation drift), and an unchanged input costs zero additions at
+    the layers it leaves unchanged.
 
     A layer whose changed rows exceed DENSE_DELTA_SHARE of its inputs adds
     the dense delta product; otherwise it gathers only the changed rows of
@@ -507,18 +489,6 @@ class SigmaDeltaRuntime:
             raise
         self.frames = frames + 1
         return y
-
-
-def forward_sigma_delta(net, runtime, x, ledger=None, activity=None):
-    """One frame through the event-driven network.
-
-    Herds the change in each layer's scaled input into integer events and
-    accumulates them into the integrated pre-activation, so an unchanged
-    input costs zero additions at the layers it leaves unchanged.
-    """
-    if runtime.net is not net:
-        raise ValueError("runtime was built for a different network")
-    return runtime.step(x, ledger=ledger, activity=activity)
 
 
 # Frames per chunk of sigma_delta_stream: bounds the (frames, width) arrays

@@ -29,7 +29,6 @@ from sigmadelta.mlp import accuracy, train_mlp
 from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                                 TemporalDiffRuntime, bake_scales,
                                 forward_original, forward_rounding,
-                                forward_sigma_delta, forward_temporal_diff,
                                 load_network, save_network)
 from sigmadelta.quantizers import (DeltaHerder, Herder, TemporalDifference,
                                    round_half_away)
@@ -125,7 +124,7 @@ def test_criterion_4_sigma_delta_equals_rounding():
     for net, frames in _equivalence_suite():
         rt = SigmaDeltaRuntime(net)
         for x in frames:
-            y_sd = forward_sigma_delta(net, rt, x)
+            y_sd = rt.step(x)
             y_round = forward_rounding(net, x)
             denom = max(float(np.max(np.abs(y_round))), 1e-6)
             worst = max(worst, float(np.max(np.abs(y_sd - y_round))) / denom)
@@ -140,7 +139,7 @@ def test_criterion_4_sigma_delta_equals_rounding():
     ])
     rt = SigmaDeltaRuntime(net)
     exact = all(
-        np.array_equal(forward_sigma_delta(net, rt, x), forward_rounding(net, x))
+        np.array_equal(rt.step(x), forward_rounding(net, x))
         for x in rng.integers(-4, 5, (500, 12)).astype(float))
     check(4, f"sigma-delta vs rounding: max rel dev {worst:.2e} < 1e-4; "
              f"integer case exact", worst < 1e-4 and exact)
@@ -151,7 +150,7 @@ def test_criterion_5_temporal_diff_equals_original():
     for net, frames in _equivalence_suite():
         rt = TemporalDiffRuntime(net)
         for x in frames:
-            y_td = forward_temporal_diff(net, rt, x)
+            y_td = rt.step(x)
             y0 = forward_original(net, x)
             worst = max(worst, float(np.max(np.abs(y_td - y0))))
     check(5, f"temporal-difference vs original: max abs dev {worst:.2e} < 1e-6",

@@ -8,7 +8,8 @@ from sigmadelta.costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity,
                               flops_sigma_delta, flops_sparse,
                               write_report_csv)
 from sigmadelta.kernels import OpLedger
-from sigmadelta.network import SigmaDeltaRuntime, forward_sigma_delta
+from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
+                                rounding_batch, sigma_delta_stream)
 from tests.test_network import random_net
 
 
@@ -80,7 +81,7 @@ class TestFlopsRoundingAndSigmaDelta:
             x = np.zeros(9)
             for _ in range(30):
                 x = 0.8 * x + rng.standard_normal(9)
-                forward_sigma_delta(net, rt, x, ledger=led, activity=act)
+                rt.step(x, ledger=led, activity=act)
             assert led.int_adds == flops_sigma_delta(act)
             assert led.total_mults == 0
 
@@ -124,6 +125,26 @@ class TestActivity:
             assert batch.frames == rows.frames == 9
             assert flops_rounding(batch) == flops_rounding(rows)
 
+    def test_totals_are_exact_past_int64(self):
+        # every frame's event L1 fits int64; their sum over frames does not
+        net = NetworkSpec([LayerSpec(np.eye(20)[:, :5], np.zeros(5),
+                                     "identity")])
+        x = np.zeros(20)
+        x[3] = 2e18
+        X = np.stack([x, -x, x])
+        rt, led = SigmaDeltaRuntime(net), OpLedger()
+        act_step = LayerActivity.for_network(net)
+        for frame in X:
+            rt.step(frame, ledger=led, activity=act_step)
+        act_stream = LayerActivity.for_network(net)
+        sigma_delta_stream(net, X, activity=act_stream)
+        for act in (act_step, act_stream):
+            assert list(act.l1) == [10 ** 19]
+            assert flops_sigma_delta(act) == led.int_adds == 5 * 10 ** 19
+        act_round = LayerActivity.for_network(net)
+        rounding_batch(net, 2 * np.abs(X), activity=act_round)
+        assert flops_rounding(act_round) == 5 * (12 * 10 ** 18 + 3)
+
     def test_record_frames_checks_shape_and_kind(self):
         act = LayerActivity([4, 2])
         for bad in ([1, 2], [[1, 2, 3]], np.zeros((2, 2, 2))):
@@ -160,8 +181,10 @@ class TestEnergy:
         rng = np.random.default_rng(2)
         a = OpLedger(*rng.integers(0, 1000, 4))
         b = OpLedger(*rng.integers(0, 1000, 4))
-        merged = a.copy().merge(b)
-        assert energy(merged) == pytest.approx(energy(a) + energy(b))
+        both = OpLedger(a.float_adds + b.float_adds,
+                        a.float_mults + b.float_mults,
+                        a.int_adds + b.int_adds, a.int_mults + b.int_mults)
+        assert energy(both) == pytest.approx(energy(a) + energy(b))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

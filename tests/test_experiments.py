@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import sigmadelta.experiments as experiments
-from sigmadelta.costs import LayerActivity, flops_dense
+from sigmadelta.costs import (LayerActivity, flops_dense, flops_rounding,
+                              flops_sigma_delta)
 from sigmadelta.data import FrameDataset, gen_random_network, gen_random_stream, save_idx
-from sigmadelta.kernels import OpLedger
 from sigmadelta.experiments import (classification_error, dense_batch,
                                     equivalence_check, find_mnist_files,
                                     mnist_experiment, random_net_experiment,
@@ -14,8 +14,8 @@ from sigmadelta.experiments import (classification_error, dense_batch,
                                     worker_count)
 from sigmadelta.mlp import train_mlp
 from sigmadelta.network import (SigmaDeltaRuntime, forward_original,
-                                forward_rounding, forward_sigma_delta,
-                                save_network)
+                                forward_rounding, save_network)
+from sigmadelta.quantizers import round_half_away
 from sigmadelta.scale_opt import DivergenceError
 from tests.test_network import random_net
 
@@ -26,30 +26,35 @@ class TestBatchEvaluators:
         net = random_net(rng, [8, 6, 4])
         X = rng.standard_normal((20, 8))
         X[X < -0.5] = 0.0  # some zero inputs, so nonzero counts are < 8
-        act_batch = LayerActivity.for_network(net)
-        got = dense_batch(net, X, activity=act_batch)
-        act_frame, led = LayerActivity.for_network(net), OpLedger()
-        want = np.array([forward_original(net, x, ledger=led,
-                                          activity=act_frame) for x in X])
+        act = LayerActivity.for_network(net)
+        got = dense_batch(net, X, activity=act)
+        want = np.array([forward_original(net, x) for x in X])
         assert np.max(np.abs(got - want)) < 1e-12
-        assert np.array_equal(act_batch.nonzero, act_frame.nonzero)
-        assert act_batch.frames == act_frame.frames == 20
-        assert act_batch.nonzero[0] < 20 * 8
-        assert led.total_ops == 20 * flops_dense(net.dims)
-        assert led.int_adds == led.int_mults == 0
+        # nonzero inputs per layer, counted over every frame
+        a, nonzero = X, []
+        for layer in net.layers:
+            nonzero.append(np.count_nonzero(a))
+            a = np.maximum(a @ layer.weights + layer.bias, 0.0)
+        assert list(act.nonzero) == nonzero
+        assert act.frames == 20
+        assert act.nonzero[0] < 20 * 8
 
     def test_rounding_batch_matches_per_frame(self):
         rng = np.random.default_rng(1)
         net = random_net(rng, [8, 6, 4], scale_range=(0.4, 2.5))
         X = rng.standard_normal((20, 8))
-        act_batch = LayerActivity.for_network(net)
-        got = rounding_batch(net, X, activity=act_batch)
-        act_frame = LayerActivity.for_network(net)
-        want = np.array([forward_rounding(net, x, activity=act_frame)
-                         for x in X])
+        act = LayerActivity.for_network(net)
+        got = rounding_batch(net, X, activity=act)
+        want = np.array([forward_rounding(net, x) for x in X])
         assert np.max(np.abs(got - want)) < 1e-9
-        assert np.array_equal(act_batch.l1, act_frame.l1)
-        assert act_batch.frames == 20
+        # |round(k*a)|_1 per layer, over every frame
+        a, l1 = X, []
+        for layer in net.layers:
+            s = round_half_away(a * layer.scale)
+            l1.append(int(np.abs(s).sum()))
+            a = np.maximum(s @ layer.scaled_weights() + layer.bias, 0.0)
+        assert list(act.l1) == l1
+        assert act.frames == 20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
     def test_rounding_batch_rejects_uncountable_row(self, bad):
@@ -90,7 +95,7 @@ class TestBatchEvaluators:
         X = rng.standard_normal((30, 8))
         got = sigma_delta_stream(net, X)
         rt = SigmaDeltaRuntime(net)
-        want = np.array([forward_sigma_delta(net, rt, x) for x in X])
+        want = np.array([rt.step(x) for x in X])
         assert np.array_equal(got, want)
 
     def test_classification_error_percent(self):
@@ -108,6 +113,29 @@ class TestEquivalenceCheck:
     def test_smooth_stream_is_cheaper_than_dense(self):
         report = equivalence_check(seed=1, n_frames=200, smoothness=0.9)
         assert report["ops_sigma_delta"] < report["ops_original"]
+
+    @pytest.mark.parametrize("seed, n_frames, smoothness, ops", [
+        (0, 500, 0.5, (2_304_000, 479_360, 471_712)),
+        (1, 200, 0.9, (921_600, 72_544, 32_800))])
+    def test_op_counts(self, seed, n_frames, smoothness, ops):
+        report = equivalence_check(seed=seed, n_frames=n_frames,
+                                   smoothness=smoothness)
+        assert (report["ops_original"], report["ops_rounding"],
+                report["ops_sigma_delta"]) == ops
+
+    def test_op_counts_are_the_closed_forms(self):
+        # the sigma-delta count from the stream, where the check runs the step
+        rng = np.random.default_rng(4)
+        net = random_net(rng, [10, 8, 6], scale_range=(0.5, 3.0))
+        X = gen_random_stream(rng, 40, 10, 0.8).frames
+        report = equivalence_check(net=net, frames=X)
+        act_round = LayerActivity.for_network(net)
+        rounding_batch(net, X, activity=act_round)
+        act_sd = LayerActivity.for_network(net)
+        sigma_delta_stream(net, X, activity=act_sd)
+        assert report["ops_original"] == 40 * flops_dense(net.dims)
+        assert report["ops_rounding"] == flops_rounding(act_round)
+        assert report["ops_sigma_delta"] == flops_sigma_delta(act_sd)
 
     def test_impossible_tolerance_fails(self):
         report = equivalence_check(seed=0, n_frames=50, sd_tol=1e-30)

@@ -1,4 +1,5 @@
-"""Unused-import check for the package, standing in for a linter.
+"""Unused-import check for the package, its tests and its demos, standing
+in for a linter.
 
 A module-level import is unused when its name appears nowhere else in the
 module.  Names listed in the module's __all__ (re-exports) and imports
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sigmadelta"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sigmadelta"
 
 
 def unused_imports(path):
@@ -41,6 +43,13 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted([*(ROOT / "tests").glob("*.py"),
+                                         *(ROOT / "demos").glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_test_or_demo_imports(path):
     assert unused_imports(path) == []
 
 

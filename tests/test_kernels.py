@@ -10,13 +10,6 @@ class TestOpLedger:
         led = OpLedger()
         assert led.total_ops == 0
 
-    def test_merge_sums_fields(self):
-        a = OpLedger(1, 2, 3, 4)
-        b = OpLedger(10, 20, 30, 40)
-        a.merge(b)
-        assert a == OpLedger(11, 22, 33, 44)
-        assert b == OpLedger(10, 20, 30, 40)
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             OpLedger(float_adds=-1)

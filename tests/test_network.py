@@ -6,10 +6,9 @@ from sigmadelta.kernels import OpLedger
 from sigmadelta.data import gen_random_network
 from sigmadelta.network import (DENSE_DELTA_SHARE, LayerSpec, NetworkSpec,
                                 SigmaDeltaRuntime, TemporalDiffRuntime,
-                                bake_scales,
-                                forward_original, forward_rounding,
-                                forward_sigma_delta, forward_temporal_diff,
-                                load_network, save_network, softmax)
+                                bake_scales, forward_original,
+                                forward_rounding, load_network, save_network,
+                                softmax)
 from sigmadelta.quantizers import round_half_away
 
 
@@ -87,13 +86,6 @@ class TestForwardOriginal:
         out = forward_original(net, [2.0, 3.0])
         assert np.allclose(out, [6.5, 2.5])
 
-    def test_mnist_shape_ledger_total(self):
-        rng = np.random.default_rng(2)
-        net = random_net(rng, [784, 200, 200, 10])
-        led = OpLedger()
-        forward_original(net, rng.standard_normal(784), ledger=led)
-        assert led.total_ops == 397_600
-
     def test_shape_error(self):
         rng = np.random.default_rng(2)
         net = random_net(rng, [4, 3])
@@ -132,17 +124,6 @@ class TestForwardRounding:
         assert np.array_equal(forward_rounding(net, x),
                               forward_original(net, x))
 
-    def test_ledger_matches_event_counts(self):
-        rng = np.random.default_rng(5)
-        net = random_net(rng, [6, 5, 4])
-        x = rng.standard_normal(6)
-        led = OpLedger()
-        act = LayerActivity.for_network(net)
-        forward_rounding(net, x, ledger=led, activity=act)
-        want_adds = int((act.l1 * act.fanouts).sum()) + sum(net.dims[1:])
-        assert led.int_adds == want_adds
-        assert led.total_mults == 0
-
     def test_matches_event_free_reference(self):
         # same math both ways: events into weights/k vs dense (s/k) @ W
         rng = np.random.default_rng(6)
@@ -164,8 +145,7 @@ class TestTemporalDiffNet:
         net = random_net(rng, [12, 10, 8])
         rt = TemporalDiffRuntime(net)
         x = rng.standard_normal(12)
-        assert np.max(np.abs(forward_temporal_diff(net, rt, x)
-                             - forward_original(net, x))) < 1e-9
+        assert np.max(np.abs(rt.step(x) - forward_original(net, x))) < 1e-9
 
     def test_stream_equals_original_per_frame(self):
         rng = np.random.default_rng(8)
@@ -177,7 +157,7 @@ class TestTemporalDiffNet:
             rt = TemporalDiffRuntime(net)
             for _ in range(100):
                 x = rng.standard_normal(12)
-                assert np.max(np.abs(forward_temporal_diff(net, rt, x)
+                assert np.max(np.abs(rt.step(x)
                                      - forward_original(net, x))) < 1e-6
 
     def test_caller_may_reuse_frame_buffer(self):
@@ -187,27 +167,18 @@ class TestTemporalDiffNet:
         x = np.empty(6)
         for _ in range(20):
             x[:] = rng.standard_normal(6)
-            assert np.max(np.abs(forward_temporal_diff(net, rt, x)
-                                 - forward_original(net, x))) < 1e-6
+            assert np.max(np.abs(rt.step(x) - forward_original(net, x))) < 1e-6
 
     def test_constant_stream_zero_deltas(self):
         rng = np.random.default_rng(9)
         net = random_net(rng, [5, 4])
         rt = TemporalDiffRuntime(net)
         x = rng.standard_normal(5)
-        forward_temporal_diff(net, rt, x)
+        rt.step(x)
         u_after_first = [u.copy() for u in rt._u]
-        forward_temporal_diff(net, rt, x)
+        rt.step(x)
         for a, b in zip(u_after_first, rt._u):
             assert np.array_equal(a, b)
-
-    def test_runtime_net_mismatch(self):
-        rng = np.random.default_rng(10)
-        net1 = random_net(rng, [4, 3])
-        net2 = random_net(rng, [4, 3])
-        rt = TemporalDiffRuntime(net1)
-        with pytest.raises(ValueError):
-            forward_temporal_diff(net2, rt, np.zeros(4))
 
 
 class TestSigmaDeltaNet:
@@ -216,18 +187,17 @@ class TestSigmaDeltaNet:
         net = random_net(rng, [9, 7, 5], scale_range=(0.5, 2.0))
         rt = SigmaDeltaRuntime(net)
         x = rng.standard_normal(9)
-        assert np.max(np.abs(forward_sigma_delta(net, rt, x)
-                             - forward_rounding(net, x))) < 1e-9
+        assert np.max(np.abs(rt.step(x) - forward_rounding(net, x))) < 1e-9
 
     def test_repeated_frame_costs_nothing(self):
         rng = np.random.default_rng(12)
         net = random_net(rng, [9, 7, 5])
         rt = SigmaDeltaRuntime(net)
         x = rng.standard_normal(9)
-        forward_sigma_delta(net, rt, x)
+        rt.step(x)
         led = OpLedger()
         act = LayerActivity.for_network(net)
-        y2 = forward_sigma_delta(net, rt, x, ledger=led, activity=act)
+        y2 = rt.step(x, ledger=led, activity=act)
         assert act.l1[0] == 0  # no input-layer events on an unchanged frame
         assert led.int_adds == 0  # unchanged input -> unchanged everything
         assert np.max(np.abs(y2 - forward_rounding(net, x))) < 1e-9
@@ -239,7 +209,7 @@ class TestSigmaDeltaNet:
         x = np.zeros(16)
         for _ in range(300):
             x = 0.7 * x + rng.standard_normal(16)
-            ys = forward_sigma_delta(net, rt, x)
+            ys = rt.step(x)
             yr = forward_rounding(net, x)
             rel = np.max(np.abs(ys - yr)) / (np.max(np.abs(yr)) + 1e-12)
             assert rel < 1e-6
@@ -249,11 +219,10 @@ class TestSigmaDeltaNet:
         net = random_net(rng, [10, 8, 6])
         frames = rng.standard_normal((50, 10))
         rt = SigmaDeltaRuntime(net)
-        out1 = np.array([forward_sigma_delta(net, rt, x) for x in frames])
+        out1 = np.array([rt.step(x) for x in frames])
         perm = rng.permutation(50)
         rt2 = SigmaDeltaRuntime(net)
-        out2 = np.array([forward_sigma_delta(net, rt2, x)
-                         for x in frames[perm]])
+        out2 = np.array([rt2.step(x) for x in frames[perm]])
         ref = np.array([forward_rounding(net, x) for x in frames])
         assert np.max(np.abs(out1 - ref)) < 1e-6
         assert np.max(np.abs(out2 - ref[perm])) < 1e-6
@@ -276,7 +245,7 @@ class TestSigmaDeltaNet:
             elif t % 3 == 1:
                 x = x.copy()
                 x[rng.integers(8)] += 1.0
-            y = rt.resync(x) if t % 50 == 49 else forward_sigma_delta(net, rt, x)
+            y = rt.resync(x) if t % 50 == 49 else rt.step(x)
             assert np.array_equal(y, forward_rounding(net, x))
         assert rt.frames == 200
 
@@ -286,7 +255,7 @@ class TestSigmaDeltaNet:
         rt = SigmaDeltaRuntime(net)
         for _ in range(20):
             x = rng.standard_normal(8)
-            ys = forward_sigma_delta(net, rt, x)
+            ys = rt.step(x)
             assert abs(ys.sum() - 1.0) < 1e-12
             assert np.max(np.abs(ys - forward_rounding(net, x))) < 1e-9
 
@@ -295,15 +264,14 @@ class TestSigmaDeltaNet:
         net = random_net(rng, [10, 8, 6], scale_range=(0.5, 2.0))
         rt = SigmaDeltaRuntime(net)
         for _ in range(50):
-            forward_sigma_delta(net, rt, rng.standard_normal(10))
+            rt.step(rng.standard_normal(10))
         x = rng.standard_normal(10)
         y = rt.resync(x)
         assert np.max(np.abs(y - forward_rounding(net, x))) < 1e-12
         # continuing after resync still matches frame-by-frame rounding
         for _ in range(20):
             x = rng.standard_normal(10)
-            assert np.max(np.abs(forward_sigma_delta(net, rt, x)
-                                 - forward_rounding(net, x))) < 1e-6
+            assert np.max(np.abs(rt.step(x) - forward_rounding(net, x))) < 1e-6
 
     def test_event_counts_are_rounded_input_changes(self):
         # layer-0 events are exactly |round(k x_t) - round(k x_{t-1})|_1,
@@ -325,7 +293,7 @@ class TestSigmaDeltaNet:
             if t == 200:
                 rt.resync(x)
             else:
-                forward_sigma_delta(net, rt, x, ledger=led, activity=act)
+                rt.step(x, ledger=led, activity=act)
                 want += int(np.abs(r - prev).sum())
             prev = r
         assert act.l1[0] == want
@@ -349,7 +317,7 @@ class TestSigmaDeltaNet:
                 x = x.copy()
                 x[rng.integers(24, size=3)] += rng.standard_normal(3)
             before = list(rt._prev)
-            ys = forward_sigma_delta(net, rt, x, ledger=led, activity=act)
+            ys = rt.step(x, ledger=led, activity=act)
             yr = forward_rounding(net, x)
             assert np.max(np.abs(ys - yr)) / (np.max(np.abs(yr)) + 1e-12) < 1e-6
             r = round_half_away(k * x)
@@ -367,7 +335,7 @@ class TestSigmaDeltaNet:
         rng = np.random.default_rng(18)
         net = random_net(rng, [5, 4])
         rt = SigmaDeltaRuntime(net)
-        forward_sigma_delta(net, rt, rng.standard_normal(5))
+        rt.step(rng.standard_normal(5))
         rt.reset()
         assert np.array_equal(rt._u[0], net.layers[0].bias)
         assert rt.frames == 0
@@ -409,8 +377,8 @@ class TestBakeScales:
         rt_a, rt_b = SigmaDeltaRuntime(net), SigmaDeltaRuntime(baked)
         for _ in range(50):
             x = rng.standard_normal(6)
-            ya = forward_sigma_delta(net, rt_a, x)
-            yb = forward_sigma_delta(baked, rt_b, x)
+            ya = rt_a.step(x)
+            yb = rt_b.step(x)
             assert np.max(np.abs(ya - yb)) < 1e-6
 
     def test_per_unit_scales(self):
