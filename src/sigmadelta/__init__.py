@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 
 from .kernels import OpLedger, SparseEvents, sparse_accumulate, to_events
 from .quantizers import (DeltaHerder, Herder, TemporalDifference,
-                         TemporalIntegrator, noisy_round_surrogate,
-                         round_half_away, scaled_round)
+                         TemporalIntegrator, round_half_away)
 from .network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                       TemporalDiffRuntime, bake_scales, forward_original,
-                      forward_rounding, load_network, save_network,
-                      snap_to_grid)
+                      forward_rounding, load_network, save_network)
 from .costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity, energy,
                     flops_dense, flops_rounding, flops_sigma_delta,
                     flops_sparse, write_report_csv)
@@ -31,10 +29,10 @@ from .mlp import accuracy, train_mlp
 __all__ = [
     "OpLedger", "SparseEvents", "sparse_accumulate", "to_events",
     "DeltaHerder", "Herder", "TemporalDifference", "TemporalIntegrator",
-    "noisy_round_surrogate", "round_half_away", "scaled_round",
+    "round_half_away",
     "LayerSpec", "NetworkSpec", "SigmaDeltaRuntime", "TemporalDiffRuntime",
     "bake_scales", "forward_original", "forward_rounding", "load_network",
-    "save_network", "snap_to_grid",
+    "save_network",
     "DEFAULT_ENERGY_TABLE", "EnergyTable", "LayerActivity", "energy",
     "flops_dense", "flops_rounding", "flops_sigma_delta", "flops_sparse",
     "write_report_csv",

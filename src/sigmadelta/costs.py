@@ -74,35 +74,46 @@ class LayerActivity:
         return cls(net.dims[1:])
 
     def record_frame(self, nonzero=None, l1=None):
+        """Add one frame's per-layer counts, which must be non-negative
+        integers (ValueError otherwise, with nothing recorded)."""
         if (nonzero is None) == (l1 is None):
             raise ValueError("record exactly one of nonzero= or l1= per frame")
         kind = "nonzero" if nonzero is not None else "l1"
         if self._kind is not None and self._kind != kind:
             raise ValueError(
                 f"this activity records {self._kind} frames, got {kind}")
-        # int(), not int64: adding a numpy integer would make a total int64
-        values = [int(v) for v in (nonzero if nonzero is not None else l1)]
+        values = list(nonzero if nonzero is not None else l1)
         if len(values) != len(self.fanouts):
             raise ValueError(
                 f"expected {len(self.fanouts)} per-layer values, got {len(values)}")
+        try:
+            # int(), not int64: adding a numpy integer would make a total int64
+            counts = [int(v) for v in values]
+        except (TypeError, ValueError, OverflowError):
+            counts = None
+        if counts != values or min(counts) < 0:
+            raise ValueError(f"counts must be non-negative integers, got {values}")
         self._kind = kind  # only once a frame is valid
         target = self.nonzero if nonzero is not None else self.l1
-        for i, v in enumerate(values):
+        for i, v in enumerate(counts):
             target[i] += v
         self.frames += 1
 
     def record_frames(self, nonzero=None, l1=None):
         """record_frame for each row of a (frames, layers) array.  Totals
         are sums over frames, so this records the column sums as one frame
-        and counts it as all of them."""
+        and counts it as all of them.  Every entry must be a non-negative
+        integer."""
         if (nonzero is None) == (l1 is None):
             raise ValueError("record exactly one of nonzero= or l1=")
         kind = "nonzero" if nonzero is not None else "l1"
-        values = np.asarray(nonzero if nonzero is not None else l1,
-                            dtype=np.int64)
+        values = np.asarray(nonzero if nonzero is not None else l1)
         if values.ndim != 2:
             raise ValueError(
                 f"expected a (frames, layers) array, got shape {values.shape}")
+        # entry by entry: a column sum could hide a fractional or negative one
+        if not np.all((values >= 0) & (values == np.trunc(values))):
+            raise ValueError("counts must be non-negative integers")
         self.record_frame(**{kind: values.sum(axis=0, dtype=object)})
         self.frames += values.shape[0] - 1
 

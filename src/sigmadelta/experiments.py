@@ -21,7 +21,7 @@ from .data import gen_random_network, gen_random_stream, load_idx, temporal_resh
 from .kernels import OpLedger
 from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
                       forward_original, forward_rounding, load_network,
-                      rounding_batch, sigma_delta_stream, snap_to_grid)
+                      rounding_batch, sigma_delta_stream)
 from .scale_opt import DivergenceError, TradeoffConfig, error_loss, optimize
 
 __all__ = [
@@ -239,8 +239,8 @@ def _nj(ledger, frames):
 def _evaluate_setting(net_k, setting, datasets, orig_row):
     """One sweep point of mnist_experiment: the rounding network on the
     test and train frames, then the sigma-delta network over each ordering
-    of them.  Returns its report rows and its summary entry.  On a grid
-    net_k (snap_to_grid) the two networks' outputs are equal."""
+    of them.  Returns its report rows and its summary entry.  The two
+    networks' outputs are equal."""
     test, train = datasets["mnist"]["test"], datasets["mnist"]["train"]
     # Rounding network: stateless, so order does not matter.
     act_round = LayerActivity.for_network(net_k)
@@ -291,9 +291,9 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     """Evaluate all three executors across a lambda sweep on both dataset
     orderings, mirroring the results-table layout.
 
-    The rounding and sigma-delta rows of each setting are evaluated on
-    snap_to_grid of the net at that setting's scales, so their outputs,
-    and their class errors, are equal.  Settings and trace files are named
+    The rounding and sigma-delta networks of each setting compute on its
+    layers' grids (network.GRID_BITS), so their outputs, and their class
+    errors, are equal.  Settings and trace files are named
     after repr(float(lam)).  limit_* truncate the datasets (for smoke
     tests); opt_frames caps how many training frames the scale
     optimization sees.
@@ -369,7 +369,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
             summary.append({"setting": setting, "diverged": True})
             continue
         rows, entry = _evaluate_setting(
-            snap_to_grid(net.with_scales(scales)), setting, datasets, orig_row)
+            net.with_scales(scales), setting, datasets, orig_row)
         report_rows.extend(rows)
         summary.append(entry)
 

@@ -14,7 +14,7 @@ The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
 dense_batch and rounding_batch evaluate the first and third over the rows
 of a batch, through the same layer loop; sigma_delta_stream runs the last
-over an ordered set of frames, one layer at a time over chunks of frames,
+over an ordered set of frames as that rounding loop over chunks of frames,
 and gets the per-frame executor's outputs and op counts to the bit.
 
 The per-frame passes count nothing: a dense frame costs the constant
@@ -22,12 +22,16 @@ flops_dense(net.dims), and rounding_batch records in a LayerActivity what
 forward_rounding's frames cost.  The sigma-delta step and stream record
 their events in a LayerActivity (and an OpLedger, if given one).
 
-snap_to_grid puts a network on an exact grid, where the sigma-delta
-network equals the rounding network bit for bit.
+The rounding and sigma-delta executors compute on each layer's grid (see
+GRID_BITS), where every sum below the layer's limit is exact.  The
+sigma-delta executors refuse a frame whose sums could pass it, so the
+sigma-delta network equals the rounding network bit for bit.  The dense
+executors use the weights as given.
 """
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +53,7 @@ __all__ = [
     "TemporalDiffRuntime",
     "SigmaDeltaRuntime",
     "sigma_delta_stream",
-    "GRID_FRAC_BITS",
-    "snap_to_grid",
+    "GRID_BITS",
     "bake_scales",
     "save_network",
     "load_network",
@@ -73,6 +76,21 @@ _ACT_FNS = {"relu": relu, "identity": lambda u: u, "softmax": softmax}
 
 def apply_activation(name, u):
     return _ACT_FNS[name](u)
+
+
+# Each layer's rounding and sigma-delta arithmetic runs on a grid of step
+# 2**(ceil(log2 m) - GRID_BITS), m = max(max|W/k|, max|b|): W/k and the bias
+# are rounded to multiples of the step once, which moves them by at most
+# 2**-GRID_BITS of m.  An integer event times a weight, and every partial
+# sum of such products plus the bias, is then a multiple of the step too,
+# and float64 adds those exactly below 2**53 steps, the layer's limit.
+# Exact sums do not depend on summation order, so the gather and dense
+# kernels, a per-frame GEMV and a batched GEMM give the same bits.  At 36
+# bits the snapping stays far below the 1e-9 the rounding tests hold
+# against unsnapped arithmetic (32 bits did not), and a layer input may
+# still carry ~2**17 unit events at the largest weight before its sums
+# reach the limit (40 bits left too little for the tests' large frames).
+GRID_BITS = 36
 
 
 @dataclass(frozen=True)
@@ -122,12 +140,28 @@ class LayerSpec:
         return k if k.ndim == 0 else k[:, None]
 
     def scaled_weights(self):
-        """weights / k: what an integer event of this layer multiplies into.
-        Computed on first use and kept, read-only, on the layer."""
-        if "_wk" not in self.__dict__:
-            object.__setattr__(self, "_wk", self.weights / self.scale_column())
-            self._wk.flags.writeable = False
-        return self._wk
+        """weights / k on the layer's grid (GRID_BITS): what an integer event
+        of this layer multiplies into.  Computed on first use, with the
+        grid's bias and step, and kept, read-only, on the layer."""
+        if "_grid" not in self.__dict__:
+            wk = self.weights / self.scale_column()
+            m = max(float(np.abs(wk).max()), float(np.abs(self.bias).max()))
+            step = 2.0 ** ((math.ceil(math.log2(m)) if m else 0) - GRID_BITS)
+            wk, b = (round_half_away(a / step) * step for a in (wk, self.bias))
+            wk.flags.writeable = b.flags.writeable = False
+            object.__setattr__(self, "_grid", (wk, b, step))
+        return self._grid[0]
+
+    def grid_bias(self):
+        """The bias on the layer's grid: what the rounding and sigma-delta
+        executors add.  Read-only."""
+        self.scaled_weights()
+        return self._grid[1]
+
+    def grid_step(self):
+        """The layer's grid step, a power of two (GRID_BITS)."""
+        self.scaled_weights()
+        return self._grid[2]
 
     def with_scale(self, k):
         return LayerSpec(self.weights, self.bias, self.activation, k)
@@ -137,11 +171,8 @@ class NetworkSpec:
     """An immutable stack of layers with chained dimensions.
 
     Softmax is only allowed on the final layer; hidden layers are relu or
-    identity so that scales can be folded into the parameters.  on_grid is
-    true only for the networks snap_to_grid returns.
+    identity so that scales can be folded into the parameters.
     """
-
-    on_grid = False
 
     def __init__(self, layers):
         layers = tuple(layers)
@@ -185,59 +216,12 @@ class NetworkSpec:
         return f"NetworkSpec(dims={self.dims}, activations=[{acts}])"
 
 
-# Grid mode.  snap_to_grid rounds each layer's W/k and bias to multiples of
-# GRID_STEP = 2**-GRID_FRAC_BITS.  Every integer event times a weight, and
-# every partial sum of such products, is then a multiple of GRID_STEP too,
-# and float64 adds them exactly while they stay below GRID_LIMIT = 2**53
-# grid steps in magnitude.  Exact sums do not depend on summation order, so
-# the gather and dense kernels, a per-frame GEMV and a batched GEMM all give
-# the same bits.
-GRID_FRAC_BITS = 24
-GRID_STEP = 2.0 ** -GRID_FRAC_BITS
-GRID_LIMIT = 2.0 ** 53 * GRID_STEP
-
-
-def _to_grid(a):
-    return round_half_away(a / GRID_STEP) * GRID_STEP
-
-
-def snap_to_grid(net):
-    """The network with each layer's W/k and bias rounded to the nearest
-    multiple of GRID_STEP, marked on_grid.
-
-    scaled_weights() of a returned layer is exactly the rounded W/k; its
-    weights are that times k, to the nearest float.  On such a network
-    the sigma-delta executors compute exactly what forward_rounding and
-    rounding_batch compute, and refuse a frame that would take a sum past
-    GRID_LIMIT.  with_scales returns an unmarked network.
-    """
-    layers = []
-    for l in net.layers:
-        wk = _to_grid(l.scaled_weights())
-        wk.flags.writeable = False
-        layer = LayerSpec(wk * l.scale_column(), _to_grid(l.bias),
-                          l.activation, l.scale)
-        # the snapped W/k itself: weights / k can be an ulp off the grid
-        object.__setattr__(layer, "_wk", wk)
-        layers.append(layer)
-    grid = NetworkSpec(layers)
-    grid.on_grid = True
-    return grid
-
-
-def _grid_weight_bound(layer):
-    """max|W/k| of a grid layer, but at least GRID_STEP: a frame whose event
-    L1 n has n * bound >= GRID_LIMIT is refused, so n also stays an exact
-    count when a layer's weights are all zero."""
-    return max(float(np.abs(layer.scaled_weights()).max()), GRID_STEP)
-
-
-def _check_input(net, x):
+def _check_input(net, x, finite=True):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(
             f"input has shape {x.shape}, network expects ({net.input_dim},)")
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise ValueError("input frame must be finite")
     return x
 
@@ -260,13 +244,13 @@ def _passes(net, X, snap):
 
     Dense (snap false): s is the layer input a, times W.  Rounding (snap
     true): s is round(k*a), the input's integer grid values, times the
-    layer's cached W/k.
+    layer's cached W/k, plus its bias, both on the layer's grid.
     """
     a = X
     for layer in net.layers:
         if snap:
             s = round_half_away(a * layer.scale)
-            u = s @ layer.scaled_weights() + layer.bias
+            u = s @ layer.scaled_weights() + layer.grid_bias()
         else:
             s = a
             u = a @ layer.weights + layer.bias
@@ -285,7 +269,8 @@ def forward_original(net, x):
 def forward_rounding(net, x):
     """Stateless quantized pass: each layer input is snapped to its 1/k grid.
 
-    Computes round(k*a) @ (W/k) + b densely.  The integer part round(k*a)
+    Computes round(k*a) @ (W/k) + b densely, with W/k and b on the
+    layer's grid (GRID_BITS).  The integer part round(k*a)
     stands for |s|_L1 unit events into weights/k, so a layer costs
     |s|_L1 * d_out event additions plus d_out bias additions: what
     rounding_batch records for the same frames, and flops_rounding prices.
@@ -308,9 +293,9 @@ def dense_batch(net, X, activity=None):
 
 def rounding_batch(net, X, activity=None):
     """Vectorized forward_rounding over the rows of X: the same products,
-    so only the float summation order differs from the event-driven
-    executor (integer grid values times weights/k).  A row whose event
-    count is past int64 raises before any is recorded."""
+    and the same bits wherever the sums stay below the layers' limits
+    (GRID_BITS).  A row whose event count is past int64 raises before any
+    is recorded."""
     l1s = []
     for _, s, a in _passes(net, _check_frames(net, X), snap=True):
         if activity is not None:
@@ -356,7 +341,8 @@ class TemporalDiffRuntime:
 
 # A layer adds the full delta product d @ W/k when more than this share of
 # its input rows changed, and otherwise gathers the changed rows of W/k
-# first.  Gather + product against the dense product, in us, with one BLAS
+# first.  Both are exact on the layer's grid; this only picks the faster.
+# Gather + product against the dense product, in us, with one BLAS
 # thread (OpenBLAS 0.3.31, 2 vCPUs), at 10% / 1/3 / 3/8 / 50% / 100% of rows:
 #   784x200   12 / 25 / 26 / 38 / 108   dense ~32
 #   200x200    5 /  9 / 10 / 12 /  21   dense ~6
@@ -369,43 +355,44 @@ class TemporalDiffRuntime:
 DENSE_DELTA_SHARE = 3 / 8
 
 
+def _headroom(layer):
+    """(max|W/k|, max|b|, limit) of a layer on its grid, limit = 2**53 steps.
+    The weight bound is at least one step: a frame whose event L1 n has
+    n * bound >= limit is refused, so n also stays an exact count (below
+    2**53) when a layer's weights are all zero."""
+    step = layer.grid_step()
+    return (max(float(np.abs(layer.scaled_weights()).max()), step),
+            float(np.abs(layer.grid_bias()).max()), 2.0 ** 53 * step)
+
+
 def _layer_consts(net):
-    """What the sigma-delta executors read of each layer: k, W/k, the
+    """What the sigma-delta step reads of each layer: k, W/k, the
     activation, d_out, the changed-row count past which the dense delta
-    product runs, and the grid headroom (max|W/k|, max|b|), None off the
-    grid."""
+    product runs, and the layer's _headroom."""
     return [(l.scale, l.scaled_weights(), l.activation, l.d_out,
-             DENSE_DELTA_SHARE * l.d_in,
-             (_grid_weight_bound(l), float(np.abs(l.bias).max()))
-             if net.on_grid else None)
-            for l in net.layers]
+             DENSE_DELTA_SHARE * l.d_in, _headroom(l)) for l in net.layers]
 
 
-def _check_events(l1, s, headroom):
-    """Refuse, with ValueError, a layer's frame (s its rounded input round(k*a),
-    l1 its event L1) or frames (s as rows, l1 their largest event L1).
+def _check_events(l1, s_l1, headroom):
+    """Refuse, with ValueError, a layer's frame or frames: l1 is the
+    (largest) event L1 and s_l1 the (largest) L1 of the rounded input
+    s = round(k*a).
 
-    Off the grid (headroom None) the event L1 must fit int64, where
-    sigma_delta_stream holds a frame's count.  On the grid, with headroom
-    (max|W/k|, max|b|), both L1(s) * max|W/k| + max|b| and l1 * max|W/k|
-    must stay below GRID_LIMIT.  That keeps every integral exact, by
-    induction over frames: u starts at the bias, exact.  If u is exact
-    before a frame, every partial sum of the frame's delta product is a
-    grid multiple below l1 * max|W/k|, so exact, and the new integral,
-    exactly s @ W/k + b, is a grid multiple below
-    L1(s) * max|W/k| + max|b|, so the one addition that forms it is
-    exact too.  The same two bounds cover every partial sum of the
-    stateless s @ W/k + b, and keep the event counts themselves exact.
+    With headroom (max|W/k|, max|b|, limit), both s_l1 * max|W/k| + max|b|
+    and l1 * max|W/k| must stay below the limit.  That keeps every
+    integral exact, by induction over frames: u starts at the bias, exact.
+    If u is exact before a frame, every partial sum of the frame's delta
+    product is a grid multiple below l1 * max|W/k|, so exact, and the new
+    integral, exactly s @ W/k + b, is a grid multiple below
+    s_l1 * max|W/k| + max|b|, so the one addition that forms it is exact
+    too.  The same two bounds cover every partial sum of the stateless
+    s @ W/k + b, and keep the event counts themselves exact integers below
+    2**53.  A NaN or infinite L1 fails the test too.
     """
-    if headroom is None:
-        if not l1 < 2.0 ** 63:  # false for inf and NaN too
-            raise ValueError("a layer's event count would not fit int64")
-        return
-    w, b = headroom
-    if not (np.abs(s).sum(axis=-1).max() * w + b < GRID_LIMIT
-            and l1 * w < GRID_LIMIT):
-        raise ValueError("frames would take a grid layer's sums past "
-                         "GRID_LIMIT, where they stop being exact")
+    w, b, limit = headroom
+    if not (s_l1 * w + b < limit and l1 * w < limit):
+        raise ValueError("frames would take a layer's sums past its grid's "
+                         "limit, where they stop being exact")
 
 
 class SigmaDeltaRuntime:
@@ -413,27 +400,23 @@ class SigmaDeltaRuntime:
 
     Per layer: the previous rounded input round(k*a) and an integrated
     pre-activation u seeded with the bias.  Each frame sends the change in
-    the rounded input as integer events, so activation(u) matches what
-    forward_rounding computes on the current frame alone (up to float
-    accumulation drift), and an unchanged input costs zero additions at
-    the layers it leaves unchanged.
+    the rounded input as integer events, so activation(u) is what
+    forward_rounding computes on the current frame alone, and an unchanged
+    input costs zero additions at the layers it leaves unchanged.
 
     A layer whose changed rows exceed DENSE_DELTA_SHARE of its inputs adds
     the dense delta product; otherwise it gathers only the changed rows of
-    W/k.  The two kernels differ only in float summation order: event
-    counts, ledger charges and LayerActivity are the same whichever ran.
+    W/k.  Every sum is exact on the layer's grid, so both kernels give
+    forward_rounding's bits, and event counts, ledger charges and
+    LayerActivity do not depend on which ran.
 
-    A frame is refused (_check_events) when a layer's event L1 would not
-    fit int64.  On a grid net (snap_to_grid) every sum is exact, so the
-    step matches forward_rounding bit for bit; there a frame is also
-    refused unless, per layer, L1(round(k*a)) * max|W/k| + max|b| and
-    L1(change) * max|W/k| stay below GRID_LIMIT, the rule
-    sigma_delta_stream applies.
-
-    A step is all-or-nothing: a non-finite or misshapen frame is rejected
-    before any work, and a step that raises later (a refused frame, or an
-    activity that cannot record the frame) leaves the state, frame count,
-    ledger and activity as they were.
+    A frame is refused (_check_events) unless, per layer,
+    L1(round(k*a)) * max|W/k| + max|b| and L1(change) * max|W/k| stay below
+    the layer's limit, the rule sigma_delta_stream applies.  A step is
+    all-or-nothing: a misshapen frame is rejected before any work, a
+    non-finite one fails the first layer's check, and a step that raises
+    (a refused frame, or an activity that cannot record the frame) leaves
+    the state, frame count, ledger and activity as they were.
     """
 
     def __init__(self, net):
@@ -443,19 +426,28 @@ class SigmaDeltaRuntime:
 
     def reset(self):
         self._prev = [np.zeros(l.d_in) for l in self.net.layers]
-        self._u = [l.bias.copy() for l in self.net.layers]
+        self._u = [l.grid_bias() for l in self.net.layers]
+        # per layer, an upper bound on L1(previous rounded input)
+        self._bounds = [0.0] * len(self.net.layers)
         self.frames = 0
 
     def step(self, x, ledger=None, activity=None):
-        a = _check_input(self.net, x)
+        # no finiteness check: a NaN or inf frame has a NaN or inf L1
+        a = _check_input(self.net, x, finite=False)
         # the new state is built aside and committed once nothing can raise
-        prevs, us, l1s, adds = [], [], [], 0
-        for (k, wk, act, d_out, dense_rows, headroom), prev, u in zip(
-                self._consts, self._prev, self._u):
+        prevs, us, bounds, l1s, adds = [], [], [], [], 0
+        for (k, wk, act, d_out, dense_rows, headroom), prev, u, bound in zip(
+                self._consts, self._prev, self._u, self._bounds):
             r = round_half_away(a * k)
             d = r - prev
-            l1 = np.abs(d).sum()
-            _check_events(l1, r, headroom)
+            l1 = float(np.abs(d).sum())
+            # L1(r) <= L1(prev) + l1, so the rule holds for L1(r) if it
+            # holds for that bound; r's own L1 is summed only if it does not
+            bound += l1
+            w, b, limit = headroom
+            if not bound * w + b < limit:
+                bound = float(np.abs(r).sum())
+            _check_events(l1, bound, headroom)
             idx = d.nonzero()[0]
             if idx.size > dense_rows:
                 u = u + d @ wk
@@ -466,29 +458,15 @@ class SigmaDeltaRuntime:
             adds += n * d_out
             prevs.append(r)
             us.append(u)
+            bounds.append(bound)
             a = apply_activation(act, u)
         if activity is not None:
             activity.record_frame(l1=l1s)
         if ledger is not None:
             ledger.int_adds += adds
-        self._prev, self._u = prevs, us
+        self._prev, self._u, self._bounds = prevs, us, bounds
         self.frames += 1
         return a.copy()
-
-    def resync(self, x):
-        """reset() then step(x), keeping the frame count: rebuilds the
-        integrals from a fresh rounding pass, clearing accumulated float
-        drift on very long streams.  Returns the frame output.  A frame the
-        step refuses leaves the state as it was."""
-        frames, state = self.frames, (self._prev, self._u)
-        self.reset()
-        try:
-            y = self.step(x)
-        except ValueError:
-            (self._prev, self._u), self.frames = state, frames
-            raise
-        self.frames = frames + 1
-        return y
 
 
 # Frames per chunk of sigma_delta_stream: bounds the (frames, width) arrays
@@ -496,34 +474,15 @@ class SigmaDeltaRuntime:
 STREAM_CHUNK = 1000
 
 
-def _integrate(u, d, wk, dense_rows):
-    """The integrals after each row of d, from u: row by row, the delta
-    product SigmaDeltaRuntime.step chooses for those events, added in the
-    step's order by one cumsum along time."""
-    z = np.zeros((d.shape[0] + 1, wk.shape[1]))
-    z[0] = u
-    for t, c in enumerate(np.count_nonzero(d, axis=1).tolist()):
-        row = d[t]
-        if c > dense_rows:
-            np.matmul(row, wk, out=z[t + 1])
-        elif c:  # no events add zeros, the row as it is
-            idx = row.nonzero()[0]
-            np.matmul(row[idx], wk.take(idx, axis=0), out=z[t + 1])
-    return np.cumsum(z, axis=0, out=z)[1:]
-
-
 def sigma_delta_stream(net, frames, ledger=None, activity=None):
     """Run the event-driven network over an ordered set of frames, from a
     fresh runtime.  Returns the per-frame outputs.
 
-    One layer loop over chunks of STREAM_CHUNK frames.  Per layer it rounds
-    the chunk's inputs to s = round(k*a) and takes their change d = diff(s)
-    along time, from the last s of the chunk before; a frame's event L1 is
-    the row sum of |d|.  On a grid net (snap_to_grid) the step's integral
-    is exactly the rounding pre-activation s @ W/k + b, so that is what
-    the stream computes.  On a float net each frame's delta product is the
-    one the step makes, and one cumsum along time adds them to the carried
-    integral in the step's order.  Either way outputs, ledger and activity
+    The step's integral is exactly the rounding pre-activation
+    s @ W/k + b, s = round(k*a), so the stream is the rounding pass over
+    chunks of STREAM_CHUNK frames.  Per layer it takes the change
+    d = diff(s) along time, from the last s of the chunk before; a
+    frame's event L1 is the row sum of |d|.  Outputs, ledger and activity
     are the step's to the bit.
 
     A window is all-or-nothing: it is checked whole (_check_frames), and a
@@ -533,28 +492,19 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
     X = _check_frames(net, getattr(frames, "frames", frames))
     out = np.empty((X.shape[0], net.output_dim))
     l1 = np.empty((X.shape[0], len(net.layers)), dtype=np.int64)
-    consts = _layer_consts(net)
+    headroom = [_headroom(l) for l in net.layers]
     prev = [np.zeros(l.d_in) for l in net.layers]
-    u = [l.bias for l in net.layers]
     for lo in range(0, X.shape[0], STREAM_CHUNK):
         rows = slice(lo, lo + STREAM_CHUNK)
-        a = X[rows]
-        for i, (k, wk, act, _, dense_rows, headroom) in enumerate(consts):
-            s = round_half_away(a * k)
+        for i, (_, s, a) in enumerate(_passes(net, X[rows], snap=True)):
             # diff(s, prepend=prev[i]) without np.diff's concatenated copy
             d = np.empty_like(s)
             np.subtract(s[0], prev[i], out=d[0])
             np.subtract(s[1:], s[:-1], out=d[1:])
             n = np.abs(d).sum(axis=1)
-            _check_events(n.max(), s, headroom)
-            if net.on_grid:
-                z = s @ wk + net.layers[i].bias
-            else:
-                z = _integrate(u[i], d, wk, dense_rows)
-                u[i] = z[-1]
+            _check_events(n.max(), np.abs(s).sum(axis=1).max(), headroom[i])
             l1[rows, i] = n
             prev[i] = s[-1]
-            a = apply_activation(act, z)
         out[rows] = a
     if activity is not None:
         activity.record_frames(l1=l1)

@@ -1,4 +1,4 @@
-"""Streaming quantizers: temporal difference/integration, herding, scaled rounding.
+"""Streaming quantizers: temporal difference/integration and herding.
 
 All stateful quantizers are single-writer objects over a fixed vector width.
 State starts at zero and is reset explicitly at sequence boundaries, never
@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "round_half_away",
-    "scaled_round",
-    "noisy_round_surrogate",
     "TemporalDifference",
     "TemporalIntegrator",
     "Herder",
@@ -30,36 +28,6 @@ def round_half_away(x):
     y = np.copysign(0.5, x, out=np.empty_like(x))  # one buffer, in place
     y += x  # exact sign symmetry: -a - 0.5 rounds to -(a + 0.5)
     return np.trunc(y, out=y)
-
-
-def _check_scale(k):
-    k = np.asarray(k, dtype=np.float64)
-    if not np.all(np.isfinite(k)) or np.any(k <= 0):
-        raise ValueError("scale k must be positive and finite")
-    return k
-
-
-def scaled_round(x, k):
-    """Quantize x to the grid of spacing 1/k: round(x*k)/k.
-
-    Larger k means a finer grid; the per-element error is at most 1/(2k).
-    """
-    k = _check_scale(k)
-    x = np.asarray(x, dtype=np.float64)
-    return round_half_away(x * k) / k
-
-
-def noisy_round_surrogate(x, k, rng):
-    """Replace the rounding step with additive uniform noise: (x*k + eps)/k.
-
-    eps ~ U(-1/2, 1/2) per element, so the output stays within 1/(2k) of x
-    like real quantization would, but the map is differentiable everywhere.
-    Training-only; inference paths never inject noise.
-    """
-    k = _check_scale(k)
-    x = np.asarray(x, dtype=np.float64)
-    eps = rng.uniform(-0.5, 0.5, size=x.shape)
-    return (x * k + eps) / k
 
 
 class _Stateful:

@@ -19,9 +19,14 @@ def test_check_equivalence_passes(tmp_path, capsys):
 
 
 def test_check_equivalence_tolerance_breach_exits_3(tmp_path):
+    # the sigma-delta network is the rounding network exactly, so the
+    # breach comes from the temporal-difference executor's float dust
+    out = tmp_path / "chk"
     rc = main(["check-equivalence", "--seed", "3", "--frames", "30",
-               "--sd-tol", "1e-30"])
+               "--td-tol", "1e-30", "--out", str(out)])
     assert rc == 3
+    report = json.loads((out / "equivalence.json").read_text())
+    assert report["max_sigma_delta_vs_rounding_rel"] == 0.0
 
 
 def test_check_equivalence_missing_net_exits_2(tmp_path):

@@ -132,18 +132,37 @@ class TestActivity:
         x = np.zeros(20)
         x[3] = 2e18
         X = np.stack([x, -x, x])
-        rt, led = SigmaDeltaRuntime(net), OpLedger()
-        act_step = LayerActivity.for_network(net)
-        for frame in X:
-            rt.step(frame, ledger=led, activity=act_step)
-        act_stream = LayerActivity.for_network(net)
-        sigma_delta_stream(net, X, activity=act_stream)
-        for act in (act_step, act_stream):
-            assert list(act.l1) == [10 ** 19]
-            assert flops_sigma_delta(act) == led.int_adds == 5 * 10 ** 19
+        # past the layer's exact range: the sigma-delta executors refuse
+        with pytest.raises(ValueError):
+            SigmaDeltaRuntime(net).step(x)
+        with pytest.raises(ValueError):
+            sigma_delta_stream(net, X)
+        act = LayerActivity.for_network(net)
+        for n in (2 * 10 ** 18, 4 * 10 ** 18, 4 * 10 ** 18):
+            act.record_frame(l1=[n])
+        assert list(act.l1) == [10 ** 19]
+        assert flops_sigma_delta(act) == 5 * 10 ** 19
         act_round = LayerActivity.for_network(net)
         rounding_batch(net, 2 * np.abs(X), activity=act_round)
         assert flops_rounding(act_round) == 5 * (12 * 10 ** 18 + 3)
+
+    @pytest.mark.parametrize("bad", [[2.7], [-3], [np.nan], [np.inf]])
+    def test_refuses_counts_that_are_not_non_negative_integers(self, bad):
+        act = LayerActivity([4])
+        act.record_frame(l1=[5])
+        for record in (lambda: act.record_frame(l1=bad),
+                       lambda: act.record_frames(l1=[bad])):
+            with pytest.raises(ValueError):
+                record()
+            assert list(act.l1) == [5] and act.frames == 1
+        # a column sum would hide these: each entry is checked
+        for rows in ([[2.5], [0.5]], [[-1], [4]]):
+            with pytest.raises(ValueError):
+                act.record_frames(l1=rows)
+        assert list(act.l1) == [5] and act.frames == 1
+        act.record_frame(l1=[2.0])
+        act.record_frames(l1=[[1.0], [3]])
+        assert list(act.l1) == [11] and act.frames == 4
 
     def test_record_frames_checks_shape_and_kind(self):
         act = LayerActivity([4, 2])

@@ -1,6 +1,7 @@
-"""Grid mode: on a snap_to_grid network every executor that rounds its
-layer inputs computes the same bits, whatever kernel, batch shape, chunking
-or history, and a frame past the grid's headroom is refused."""
+"""Every layer computes on its own grid (network.GRID_BITS): every executor
+that rounds its layer inputs computes the same bits, whatever kernel, batch
+shape, chunking or history, and a frame past a layer's headroom is
+refused."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ import sigmadelta.network as network
 from sigmadelta.costs import LayerActivity
 from sigmadelta.data import gen_random_stream
 from sigmadelta.kernels import OpLedger
-from sigmadelta.network import (GRID_FRAC_BITS, LayerSpec, NetworkSpec,
+from sigmadelta.network import (GRID_BITS, LayerSpec, NetworkSpec,
                                 SigmaDeltaRuntime, forward_rounding,
-                                rounding_batch, snap_to_grid)
+                                rounding_batch)
 from tests.test_network import random_net
-
-UNIT = 2.0 ** GRID_FRAC_BITS
 
 
 def stream_nets(rng):
@@ -27,12 +26,32 @@ def stream_nets(rng):
     return [layerwise, unitwise]
 
 
-def grid_nets(rng):
-    return [snap_to_grid(net) for net in stream_nets(rng)]
-
-
 def stream(rng, n, d, smoothness):
     return gen_random_stream(rng, n, d, smoothness).frames
+
+
+def stepped(net, X):
+    """The reference: frame by frame through SigmaDeltaRuntime.step."""
+    rt = SigmaDeltaRuntime(net)
+    led, act = OpLedger(), LayerActivity.for_network(net)
+    out = np.empty((len(X), net.output_dim))
+    for t, x in enumerate(X):
+        out[t] = rt.step(x, ledger=led, activity=act)
+    return out, led, act
+
+
+def streamed(net, X):
+    led, act = OpLedger(), LayerActivity.for_network(net)
+    return (experiments.sigma_delta_stream(net, X, ledger=led, activity=act),
+            led, act)
+
+
+def assert_same(got, want):
+    (y, led, act), (y_want, led_want, act_want) = got, want
+    assert np.array_equal(y, y_want)
+    assert led == led_want
+    assert np.array_equal(act.l1, act_want.l1)
+    assert act.frames == act_want.frames == len(y)
 
 
 def state(rt):
@@ -48,36 +67,41 @@ def same_state(a, b):
 
 class TestSnapToGrid:
     def test_scaled_weights_and_bias_on_the_grid(self):
-        for net in grid_nets(np.random.default_rng(0)):
-            assert net.on_grid
+        for net in stream_nets(np.random.default_rng(0)):
             for layer in net.layers:
-                wk = layer.scaled_weights() * UNIT
-                assert np.array_equal(wk, np.round(wk))
-                assert np.array_equal(layer.bias * UNIT,
-                                      np.round(layer.bias * UNIT))
-                assert not layer.scaled_weights().flags.writeable
+                m = max(np.abs(layer.weights / layer.scale_column()).max(),
+                        np.abs(layer.bias).max())
+                step = layer.grid_step()
+                assert step == 2.0 ** (np.ceil(np.log2(m)) - GRID_BITS)
+                for a in (layer.scaled_weights(), layer.grid_bias()):
+                    assert np.array_equal(a / step, np.round(a / step))
+                    assert not a.flags.writeable
 
     def test_snapping_is_nearest_and_idempotent(self):
         rng = np.random.default_rng(1)
-        net = random_net(rng, [6, 5, 3])
-        grid = snap_to_grid(net)
-        for raw, snapped in zip(net.layers, grid.layers):
-            assert (np.max(np.abs(snapped.scaled_weights()
-                                  - raw.scaled_weights())) <= 0.5 / UNIT)
-            assert snapped.scale == raw.scale
-        again = snap_to_grid(grid)
-        for a, b in zip(grid.layers, again.layers):
-            assert np.array_equal(a.scaled_weights(), b.scaled_weights())
-            assert np.array_equal(a.bias, b.bias)
+        for layer in random_net(rng, [6, 5, 3]).layers:
+            step = layer.grid_step()
+            assert (np.max(np.abs(layer.scaled_weights()
+                                  - layer.weights / layer.scale_column()))
+                    <= step / 2)
+            assert np.max(np.abs(layer.grid_bias() - layer.bias)) <= step / 2
+            again = LayerSpec(layer.scaled_weights() * layer.scale_column(),
+                              layer.grid_bias(), layer.activation, layer.scale)
+            assert np.array_equal(again.scaled_weights(), layer.scaled_weights())
+            assert np.array_equal(again.grid_bias(), layer.grid_bias())
 
-    def test_with_scales_drops_the_mark(self):
-        net = random_net(np.random.default_rng(2), [6, 5, 3])
-        assert not net.on_grid
-        grid = snap_to_grid(net)
-        assert grid.on_grid
-        assert not grid.with_scales([1.0, 1.0]).on_grid
-        assert not grid.with_scales(grid.scales).on_grid
-        assert not network.bake_scales(grid).on_grid
+    def test_with_scales_snaps_on_its_own_grid(self):
+        # a finer scale shrinks W/k, and the step with it
+        net = random_net(np.random.default_rng(2), [6, 5, 3],
+                         scale_range=(1.0, 1.0))
+        rescaled = net.with_scales([2.0 ** 10, 1.0])
+        assert (rescaled.layers[0].grid_step()
+                < net.layers[0].grid_step())
+        for raw, layer in zip(net.layers, rescaled.layers):
+            assert layer.scaled_weights() is not raw.scaled_weights()
+            assert (np.max(np.abs(layer.scaled_weights()
+                                  - layer.weights / layer.scale_column()))
+                    <= layer.grid_step() / 2)
 
 
 class TestBitIdentity:
@@ -88,7 +112,7 @@ class TestBitIdentity:
         # share 1 every frame down the row gather
         monkeypatch.setattr(network, "DENSE_DELTA_SHARE", share)
         rng = np.random.default_rng(3)
-        for net in grid_nets(rng):
+        for net in stream_nets(rng):
             X = np.concatenate([stream(rng, 150, net.input_dim, 0.95),
                                 stream(rng, 150, net.input_dim, 0.0)])
             X[::7, :3] = 0.0
@@ -100,9 +124,9 @@ class TestBitIdentity:
             assert np.array_equal(
                 np.array([forward_rounding(net, x) for x in X]), want)
 
-    def test_20k_frames_with_resets_and_resyncs(self):
+    def test_20k_frames_with_resets(self):
         rng = np.random.default_rng(4)
-        net = grid_nets(rng)[0]
+        net = stream_nets(rng)[0]
         X = stream(rng, 20000, net.input_dim, 0.9)
         want = rounding_batch(net, X)
         assert np.array_equal(experiments.sigma_delta_stream(net, X), want)
@@ -111,67 +135,60 @@ class TestBitIdentity:
         for t, x in enumerate(X):
             if t % 5000 == 2500:
                 rt.reset()
-            got[t] = rt.resync(x) if t % 5000 == 4000 else rt.step(x)
+            got[t] = rt.step(x)
         assert np.array_equal(got, want)
-
-    def test_stream_charges_what_the_step_charges(self):
-        rng = np.random.default_rng(5)
-        for net in grid_nets(rng):
-            X = stream(rng, 80, net.input_dim, 0.9)
-            rt = SigmaDeltaRuntime(net)
-            led_step, act_step = OpLedger(), LayerActivity.for_network(net)
-            for x in X:
-                rt.step(x, ledger=led_step, activity=act_step)
-            led, act = OpLedger(), LayerActivity.for_network(net)
-            experiments.sigma_delta_stream(net, X, ledger=led, activity=act)
-            assert led == led_step
-            assert np.array_equal(act.l1, act_step.l1)
-            assert act.frames == act_step.frames == 80
 
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 14, 15, 30])
     def test_chunk_boundaries(self, monkeypatch, n):
-        rng = np.random.default_rng(6)
-        net = grid_nets(rng)[1]
-        X = stream(rng, 30, net.input_dim, 0.8)[:n]
-        led_one, act_one = OpLedger(), LayerActivity.for_network(net)
-        one = experiments.sigma_delta_stream(net, X, ledger=led_one,
-                                             activity=act_one)
+        # chunks of 7 frames: outputs, ledger and activity are the step's
         monkeypatch.setattr(network, "STREAM_CHUNK", 7)
-        led, act = OpLedger(), LayerActivity.for_network(net)
-        got = experiments.sigma_delta_stream(net, X, ledger=led, activity=act)
-        assert got.shape == (n, net.output_dim)
-        assert np.array_equal(got, one)
-        assert np.array_equal(got, rounding_batch(net, X))
-        assert led == led_one
-        assert np.array_equal(act.l1, act_one.l1)
-        assert act.frames == n
+        rng = np.random.default_rng(6)
+        for net in stream_nets(rng):
+            X = stream(rng, 30, net.input_dim, 0.8)[:n]
+            got = streamed(net, X)
+            assert got[0].shape == (n, net.output_dim)
+            assert_same(got, stepped(net, X))
+            assert np.array_equal(got[0], rounding_batch(net, X))
 
 
 def huge_frame_net():
     rng = np.random.default_rng(7)
-    return snap_to_grid(NetworkSpec([
+    return NetworkSpec([
         LayerSpec(rng.standard_normal((20, 10)) / 4, rng.standard_normal(10),
                   "relu", 2.0),
         LayerSpec(rng.standard_normal((10, 5)) / 3, rng.standard_normal(5),
                   "identity", 1.0),
-    ]))
+    ])
 
 
-def hidden_overflow_net(where):
-    """A grid net whose second layer alone runs out of headroom on a frame
-    1000 times the stream's amplitude: through a weight of 2**20, or a bias
-    within 2**8 of GRID_LIMIT."""
+def hidden_overflow(where, x):
+    """A net whose second layer alone runs out of headroom on a frame made
+    from the stream frame x, and that frame.
+
+    weights: 1000 * x, whose events at the second layer (scale 256) times
+    its largest weight (2**20 / 256, which sets its grid) pass the layer's
+    limit, 2**17 such weights.  bias: on an integer net, a frame whose
+    second-layer input has 2**17 - 1 unit events at unit weight, which
+    the layer's unit bias takes to its limit, 2**17."""
     rng = np.random.default_rng(11)
     w2, b2 = rng.standard_normal((10, 5)) / 3, rng.standard_normal(5)
     if where == "weights":
         w2[0, 0] = 2.0 ** 20
-    else:
-        b2[0] = network.GRID_LIMIT - 2.0 ** 8
-    return snap_to_grid(NetworkSpec([
-        LayerSpec(rng.standard_normal((20, 10)) / 4, rng.standard_normal(10),
-                  "relu", 2.0),
-        LayerSpec(w2, b2, "identity", 1.0),
-    ]))
+        first = LayerSpec(rng.standard_normal((20, 10)) / 4,
+                          rng.standard_normal(10), "relu", 2.0)
+        return NetworkSpec([first, LayerSpec(w2, b2, "identity", 256.0)]), \
+            1000 * x
+    w2, b2 = np.clip(w2, -0.9, 0.9), np.clip(b2, -0.9, 0.9)
+    w2[0, 0] = b2[0] = 1.0
+    # the first layer passes x[:10] on, plus 2 at unit 9; that bias sets
+    # its grid, so it takes 2**18 unit events
+    b1 = np.zeros(10)
+    b1[9] = 2.0
+    first = LayerSpec(np.eye(20)[:, :10], b1, "relu", 1.0)
+    x_bad = np.zeros(20)
+    x_bad[:10] = 13106.0
+    x_bad[0] += 2 ** 17 - 3 - 10 * 13106
+    return NetworkSpec([first, LayerSpec(w2, b2, "identity", 1.0)]), x_bad
 
 
 class TestHeadroom:
@@ -190,8 +207,6 @@ class TestHeadroom:
         x_bad[3] = bad
         with pytest.raises(ValueError):
             rt.step(x_bad, ledger=led, activity=act)
-        with pytest.raises(ValueError):
-            rt.resync(x_bad)
         assert same_state(state(rt), before)
         assert led == led_before
         assert np.array_equal(act.l1, l1_before) and act.frames == 10
@@ -216,13 +231,18 @@ class TestHeadroom:
     @pytest.mark.parametrize("where", ["weights", "bias"])
     def test_hidden_layer_refuses(self, monkeypatch, where):
         monkeypatch.setattr(network, "STREAM_CHUNK", 4)
-        net = hidden_overflow_net(where)
         X = stream(np.random.default_rng(12), 20, 20, 0.9)
-        x_bad = X[10] * 1000
+        net, x_bad = hidden_overflow(where, X[10])
         # the first layer alone takes the frame
-        first = snap_to_grid(NetworkSpec(net.layers[:1]))
+        first = NetworkSpec(net.layers[:1])
         SigmaDeltaRuntime(first).step(x_bad)
         network.sigma_delta_stream(first, x_bad[None])
+        if where == "bias":
+            # one event fewer fits: the bias is what the frame cannot take
+            x_less = x_bad.copy()
+            x_less[0] -= 1
+            SigmaDeltaRuntime(net).step(x_less)
+            network.sigma_delta_stream(net, x_less[None])
         rt = SigmaDeltaRuntime(net)
         led, act = OpLedger(), LayerActivity.for_network(net)
         for x in X[:10]:
@@ -230,8 +250,6 @@ class TestHeadroom:
         before, led_before, l1_before = state(rt), led.copy(), act.l1.copy()
         with pytest.raises(ValueError):
             rt.step(x_bad, ledger=led, activity=act)
-        with pytest.raises(ValueError):
-            rt.resync(x_bad)
         assert same_state(state(rt), before)
         stream_led, stream_act = OpLedger(), LayerActivity.for_network(net)
         X[13] = x_bad  # in the fourth chunk
@@ -249,10 +267,10 @@ class TestHeadroom:
     def test_sign_flip_past_headroom_is_refused(self):
         # each frame fits alone, but the change between them is twice
         # either frame's events: only the event-count bound sees it
-        net = snap_to_grid(NetworkSpec(huge_frame_net().layers[:1]))
+        net = NetworkSpec(huge_frame_net().layers[:1])
+        w, _, limit = network._headroom(net.layers[0])
         x = np.zeros(20)
-        x[3] = 0.3 * network.GRID_LIMIT / network._grid_weight_bound(
-            net.layers[0])
+        x[3] = 0.3 * limit / w
         for frame in (x, -x):
             assert np.array_equal(network.sigma_delta_stream(net, frame[None]),
                                   forward_rounding(net, frame)[None])
@@ -265,12 +283,12 @@ class TestHeadroom:
 
     def test_step_and_stream_accept_the_same_windows(self):
         # x then -x: each frame's sums, and the change between them, stay
-        # below GRID_LIMIT, though max|u| after x plus the change's bound
-        # does not
-        net = snap_to_grid(NetworkSpec(huge_frame_net().layers[:1]))
+        # below the layer's limit, though max|u| after x plus the change's
+        # bound does not
+        net = NetworkSpec(huge_frame_net().layers[:1])
+        w, _, limit = network._headroom(net.layers[0])
         x = np.zeros(20)
-        x[3] = 0.2 * network.GRID_LIMIT / network._grid_weight_bound(
-            net.layers[0])
+        x[3] = 0.2 * limit / w
         X = np.stack([x, -x])
         want = rounding_batch(net, X)
         rt = SigmaDeltaRuntime(net)
@@ -286,9 +304,29 @@ class TestHeadroom:
         assert np.array_equal(experiments.sigma_delta_stream(net, x[None]),
                               y[None])
 
-    def test_float_net_is_not_checked(self):
-        # off the grid the step keeps its old behaviour: no headroom check
+    @pytest.mark.parametrize("bad", [1e17, 1e306])
+    def test_float_constructed_net_refuses_huge_frames(self, monkeypatch, bad):
+        # a net built from float parameters, snapped by nobody but its
+        # layers: a finite huge frame is refused, not absorbed into the
+        # integrals, where it would spoil every later frame
+        monkeypatch.setattr(network, "STREAM_CHUNK", 4)
         net = random_net(np.random.default_rng(10), [20, 10, 5])
-        x = np.zeros(20)
-        x[3] = 1e17
-        SigmaDeltaRuntime(net).step(x)
+        X = stream(np.random.default_rng(13), 20, 20, 0.9)
+        rt = SigmaDeltaRuntime(net)
+        led, act = OpLedger(), LayerActivity.for_network(net)
+        for x in X[:10]:
+            rt.step(x, ledger=led, activity=act)
+        before, led_before, l1_before = state(rt), led.copy(), act.l1.copy()
+        x_bad = X[10].copy()
+        x_bad[3] = bad
+        with pytest.raises(ValueError):
+            rt.step(x_bad, ledger=led, activity=act)
+        window = X.copy()
+        window[13] = x_bad  # in the fourth chunk
+        with pytest.raises(ValueError):
+            network.sigma_delta_stream(net, window, ledger=led, activity=act)
+        assert same_state(state(rt), before)
+        assert led == led_before
+        assert np.array_equal(act.l1, l1_before) and act.frames == 10
+        got = np.array([rt.step(x) for x in X[10:]])
+        assert np.array_equal(got, rounding_batch(net, X[10:]))

@@ -1,5 +1,5 @@
-"""Unused-import check for the package, its tests and its demos, standing
-in for a linter.
+"""Unused-import check for the package, its tests, its demos and the
+benchmark harness, standing in for a linter.
 
 A module-level import is unused when its name appears nowhere else in the
 module.  Names listed in the module's __all__ (re-exports) and imports
@@ -47,7 +47,8 @@ def test_no_unused_module_imports(path):
 
 
 @pytest.mark.parametrize("path", sorted([*(ROOT / "tests").glob("*.py"),
-                                         *(ROOT / "demos").glob("*.py")]),
+                                         *(ROOT / "demos").glob("*.py"),
+                                         *(ROOT / "perfbench").glob("*.py")]),
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_test_or_demo_imports(path):
     assert unused_imports(path) == []

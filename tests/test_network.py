@@ -56,13 +56,19 @@ class TestSpecValidation:
                           rng.uniform(0.5, 2.0, size=4))
         wk = layer.scaled_weights()
         assert layer.scaled_weights() is wk
-        assert np.array_equal(wk, layer.weights / layer.scale[:, None])
+        # W/k rounded to the nearest multiple of the layer's grid step
+        step = layer.grid_step()
+        assert np.array_equal(
+            wk, round_half_away(layer.weights / layer.scale[:, None] / step)
+            * step)
         assert not wk.flags.writeable
         with pytest.raises(ValueError):
             wk[0, 0] = 1.0
         rescaled = layer.with_scale(2.0)
         assert rescaled.scaled_weights() is not wk
-        assert np.array_equal(rescaled.scaled_weights(), layer.weights / 2.0)
+        step = rescaled.grid_step()
+        assert np.array_equal(rescaled.scaled_weights(),
+                              round_half_away(layer.weights / 2.0 / step) * step)
 
     def test_dims_property(self):
         rng = np.random.default_rng(1)
@@ -245,7 +251,7 @@ class TestSigmaDeltaNet:
             elif t % 3 == 1:
                 x = x.copy()
                 x[rng.integers(8)] += 1.0
-            y = rt.resync(x) if t % 50 == 49 else rt.step(x)
+            y = rt.step(x)
             assert np.array_equal(y, forward_rounding(net, x))
         assert rt.frames == 200
 
@@ -259,24 +265,10 @@ class TestSigmaDeltaNet:
             assert abs(ys.sum() - 1.0) < 1e-12
             assert np.max(np.abs(ys - forward_rounding(net, x))) < 1e-9
 
-    def test_resync_restores_exact_state(self):
-        rng = np.random.default_rng(17)
-        net = random_net(rng, [10, 8, 6], scale_range=(0.5, 2.0))
-        rt = SigmaDeltaRuntime(net)
-        for _ in range(50):
-            rt.step(rng.standard_normal(10))
-        x = rng.standard_normal(10)
-        y = rt.resync(x)
-        assert np.max(np.abs(y - forward_rounding(net, x))) < 1e-12
-        # continuing after resync still matches frame-by-frame rounding
-        for _ in range(20):
-            x = rng.standard_normal(10)
-            assert np.max(np.abs(rt.step(x) - forward_rounding(net, x))) < 1e-6
-
     def test_event_counts_are_rounded_input_changes(self):
         # layer-0 events are exactly |round(k x_t) - round(k x_{t-1})|_1,
-        # with the previous rounded input cleared by reset() and set by
-        # resync(x)
+        # with the previous rounded input cleared by reset() and set by an
+        # uncounted step
         rng = np.random.default_rng(23)
         net = random_net(rng, [12, 9, 5], scale_range=(0.5, 4.0))
         k = net.layers[0].scale
@@ -291,7 +283,8 @@ class TestSigmaDeltaNet:
                 rt.reset()
                 prev = np.zeros(12)
             if t == 200:
-                rt.resync(x)
+                rt.reset()
+                rt.step(x)
             else:
                 rt.step(x, ledger=led, activity=act)
                 want += int(np.abs(r - prev).sum())
@@ -337,7 +330,7 @@ class TestSigmaDeltaNet:
         rt = SigmaDeltaRuntime(net)
         rt.step(rng.standard_normal(5))
         rt.reset()
-        assert np.array_equal(rt._u[0], net.layers[0].bias)
+        assert np.array_equal(rt._u[0], net.layers[0].grid_bias())
         assert rt.frames == 0
 
 
@@ -477,18 +470,6 @@ class TestRejectedFrame:
                 with pytest.raises(ValueError):
                     hit.step(bad)
             assert np.array_equal(hit.step(x), clean.step(x))
-
-    @pytest.mark.parametrize("bad", BAD_FRAMES)
-    def test_sigma_delta_resync(self, bad):
-        rng = np.random.default_rng(25)
-        net = random_net(rng, [8, 6, 4])
-        clean, hit = SigmaDeltaRuntime(net), SigmaDeltaRuntime(net)
-        for t, x in enumerate(rng.standard_normal((12, 8))):
-            if t == 5:
-                with pytest.raises(ValueError):
-                    hit.resync(bad)
-            assert np.array_equal(hit.step(x), clean.step(x))
-        assert hit.frames == clean.frames == 12
 
     @pytest.mark.parametrize("case", ["overflow", "wrong_activity_kind"])
     def test_sigma_delta_unrecordable_frame(self, case):

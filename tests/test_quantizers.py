@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sigmadelta.quantizers import (DeltaHerder, Herder, TemporalDifference,
-                                   TemporalIntegrator, noisy_round_surrogate,
-                                   round_half_away, scaled_round)
+                                   TemporalIntegrator, round_half_away)
 
 
 def test_round_half_away_ties():
@@ -150,61 +149,3 @@ class TestDeltaHerder:
             td, h, dh = TemporalDifference(d), Herder(d), DeltaHerder(d)
             for x in stream:
                 assert np.array_equal(h.step(td.step(x)), dh.step(x))
-
-
-class TestScaledRound:
-    def test_plain_rounding_at_unit_scale(self):
-        assert np.array_equal(scaled_round([0.4, 0.6], 1.0), [0, 1])
-
-    def test_tenths_grid(self):
-        assert np.allclose(scaled_round([0.44], 10.0), [0.4])
-
-    def test_error_bound_shrinks_with_k(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-5, 5, 100)
-        for k in (1.0, 3.0, 10.0, 1000.0):
-            assert np.max(np.abs(scaled_round(x, k) - x)) <= 0.5 / k + 1e-12
-
-    def test_per_unit_scale(self):
-        out = scaled_round([0.44, 0.44], np.array([1.0, 10.0]))
-        assert np.allclose(out, [0.0, 0.4])
-
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_round([1.0], 0.0)
-        with pytest.raises(ValueError):
-            scaled_round([1.0], -2.0)
-
-
-class _ZeroNoise:
-    def uniform(self, lo, hi, size=None):
-        return np.zeros(size)
-
-
-class TestNoisySurrogate:
-    def test_zero_noise_is_identity(self):
-        x = np.array([0.37, -2.4, 5.0])
-        # power-of-two scale: the multiply/divide round-trip is bit-exact
-        assert np.array_equal(noisy_round_surrogate(x, 2.0, _ZeroNoise()), x)
-        # otherwise exact up to one float rounding of the round-trip
-        out = noisy_round_surrogate(x, 3.0, _ZeroNoise())
-        assert np.max(np.abs(out - x)) < 1e-15
-
-    def test_bounded_by_half_grid_step(self):
-        rng = np.random.default_rng(21)
-        x = rng.uniform(-5, 5, 1000)
-        for k in (1.0, 8.0):
-            out = noisy_round_surrogate(x, k, rng)
-            assert np.max(np.abs(out - x)) <= 0.5 / k
-
-    def test_unbiased_in_expectation(self):
-        rng = np.random.default_rng(22)
-        x = np.array([0.37])
-        draws = np.array([noisy_round_surrogate(x, 2.0, rng)[0]
-                          for _ in range(100_000)])
-        # Monte-Carlo error of U(-1/4,1/4) mean over 1e5 draws: ~3 sigma
-        assert abs(draws.mean() - 0.37) < 3 * 0.25 / np.sqrt(12 * 100_000)
-
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_round_surrogate([1.0], -1.0, np.random.default_rng(0))

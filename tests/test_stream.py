@@ -1,6 +1,6 @@
-"""sigma_delta_stream on a float net: the step's outputs, ledger and
-LayerActivity to the bit, whatever the kernel share, chunking or network,
-and a window it refuses charges nothing."""
+"""sigma_delta_stream is the step: its outputs, ledger and LayerActivity
+to the bit, whatever the kernel share or network, and a window it refuses
+charges nothing."""
 
 import numpy as np
 import pytest
@@ -11,31 +11,9 @@ from sigmadelta.data import gen_random_network
 from sigmadelta.kernels import OpLedger
 from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                                 sigma_delta_stream)
-from tests.test_grid import stream, stream_nets
+from tests.test_grid import (assert_same, stepped, stream, stream_nets,
+                             streamed)
 from tests.test_network import random_net
-
-
-def stepped(net, X):
-    """The reference: frame by frame through SigmaDeltaRuntime.step."""
-    rt = SigmaDeltaRuntime(net)
-    led, act = OpLedger(), LayerActivity.for_network(net)
-    out = np.empty((len(X), net.output_dim))
-    for t, x in enumerate(X):
-        out[t] = rt.step(x, ledger=led, activity=act)
-    return out, led, act
-
-
-def streamed(net, X):
-    led, act = OpLedger(), LayerActivity.for_network(net)
-    return sigma_delta_stream(net, X, ledger=led, activity=act), led, act
-
-
-def assert_same(got, want):
-    (y, led, act), (y_want, led_want, act_want) = got, want
-    assert np.array_equal(y, y_want)
-    assert led == led_want
-    assert np.array_equal(act.l1, act_want.l1)
-    assert act.frames == act_want.frames == len(y)
 
 
 def frames(rng, net, n=150):
@@ -59,24 +37,26 @@ class TestStreamIsTheStep:
             X = frames(rng, net)
             assert_same(streamed(net, X), stepped(net, X))
 
-    def test_chunk_boundaries(self, monkeypatch):
-        monkeypatch.setattr(network, "STREAM_CHUNK", 7)
-        rng = np.random.default_rng(21)
-        for net in stream_nets(rng):
-            X = frames(rng, net, 15)
-            for n in range(31):
-                assert_same(streamed(net, X[:n]), stepped(net, X[:n]))
-
     def test_window_ledger_past_int64(self):
-        # every frame's event count fits int64, but not the window's sum:
-        # the ledger counts in Python ints, as the step does
+        # frames whose events pass a layer's exact range are refused
         W = np.random.default_rng(26).standard_normal((20, 5))
         net = NetworkSpec([LayerSpec(W, np.zeros(5), "identity", 1.0)])
         x = np.zeros(20)
         x[3] = 2e18
         X = np.stack([x, -x, x])
+        with pytest.raises(ValueError):
+            stepped(net, X)
+        with pytest.raises(ValueError):
+            streamed(net, X)
+        # but a window's count can still pass int64, where every frame's
+        # fits: zero weights count events up to 2**53 a frame, and the
+        # ledger counts in Python ints, as the step does
+        net = NetworkSpec([LayerSpec(np.zeros((20, 5)), np.ones(5),
+                                     "identity", 1.0)])
+        x[3] = 2.0 ** 51
+        X = np.stack([x, -x] * 250)
         got, want = streamed(net, X), stepped(net, X)
-        assert want[1].int_adds == 5 * 10 ** 19
+        assert want[1].int_adds == 5 * (2 ** 51 + 499 * 2 ** 52) > 2 ** 63
         assert_same(got, want)
 
     def test_benchmark_sized_net(self):
