@@ -497,12 +497,14 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
     for lo in range(0, X.shape[0], STREAM_CHUNK):
         rows = slice(lo, lo + STREAM_CHUNK)
         for i, (_, s, a) in enumerate(_passes(net, X[rows], snap=True)):
-            # diff(s, prepend=prev[i]) without np.diff's concatenated copy
+            # diff(s, prepend=prev[i]) without np.diff's concatenated copy;
+            # only its row L1s are needed, so |d| and then |s| reuse it
             d = np.empty_like(s)
             np.subtract(s[0], prev[i], out=d[0])
             np.subtract(s[1:], s[:-1], out=d[1:])
-            n = np.abs(d).sum(axis=1)
-            _check_events(n.max(), np.abs(s).sum(axis=1).max(), headroom[i])
+            n = np.abs(d, out=d).sum(axis=1)
+            s_l1 = np.abs(s, out=d).sum(axis=1).max()
+            _check_events(n.max(), s_l1, headroom[i])
             l1[rows, i] = n
             prev[i] = s[-1]
         out[rows] = a
