@@ -146,7 +146,9 @@ class LayerSpec:
         if "_grid" not in self.__dict__:
             wk = self.weights / self.scale_column()
             m = max(float(np.abs(wk).max()), float(np.abs(self.bias).max()))
-            step = 2.0 ** ((math.ceil(math.log2(m)) if m else 0) - GRID_BITS)
+            # at least the smallest float, 2**-1074, or it would underflow
+            step = math.ldexp(1.0, max(
+                (math.ceil(math.log2(m)) if m else 0) - GRID_BITS, -1074))
             wk, b = (round_half_away(a / step) * step for a in (wk, self.bias))
             wk.flags.writeable = b.flags.writeable = False
             object.__setattr__(self, "_grid", (wk, b, step))
@@ -216,12 +218,17 @@ class NetworkSpec:
         return f"NetworkSpec(dims={self.dims}, activations=[{acts}])"
 
 
-def _check_input(net, x, finite=True):
+def _check_shape(net, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(
             f"input has shape {x.shape}, network expects ({net.input_dim},)")
-    if finite and not np.isfinite(x).all():
+    return x
+
+
+def _check_input(net, x):
+    x = _check_shape(net, x)
+    if not np.isfinite(x).all():
         raise ValueError("input frame must be finite")
     return x
 
@@ -433,7 +440,7 @@ class SigmaDeltaRuntime:
 
     def step(self, x, ledger=None, activity=None):
         # no finiteness check: a NaN or inf frame has a NaN or inf L1
-        a = _check_input(self.net, x, finite=False)
+        a = _check_shape(self.net, x)
         # the new state is built aside and committed once nothing can raise
         prevs, us, bounds, l1s, adds = [], [], [], [], 0
         for (k, wk, act, d_out, dense_rows, headroom), prev, u, bound in zip(

@@ -90,6 +90,17 @@ class TestSnapToGrid:
             assert np.array_equal(again.scaled_weights(), layer.scaled_weights())
             assert np.array_equal(again.grid_bias(), layer.grid_bias())
 
+    def test_tiny_parameters_keep_a_positive_step(self):
+        # 2**(ceil(log2 m) - GRID_BITS) would underflow to 0 here
+        layer = LayerSpec(np.full((3, 2), 1e-320), np.zeros(2), "identity")
+        assert layer.grid_step() == 2.0 ** -1074
+        assert np.array_equal(layer.scaled_weights(), layer.weights)
+        net = NetworkSpec([layer])
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 0.0, 1.0]])
+        want = rounding_batch(net, X)
+        assert want[0, 0] == 6 * layer.weights[0, 0] > 0
+        assert np.array_equal(stepped(net, X)[0], want)
+
     def test_with_scales_snaps_on_its_own_grid(self):
         # a finer scale shrinks W/k, and the step with it
         net = random_net(np.random.default_rng(2), [6, 5, 3],
