@@ -78,6 +78,11 @@ def apply_activation(name, u):
     return _ACT_FNS[name](u)
 
 
+def _max_abs(a):
+    """max|a| without an |a| copy."""
+    return max(float(a.max()), -float(a.min()))
+
+
 # Each layer's rounding and sigma-delta arithmetic runs on a grid of step
 # 2**(ceil(log2 m) - GRID_BITS), m = max(max|W/k|, max|b|): W/k and the bias
 # are rounded to multiples of the step once, which moves them by at most
@@ -145,11 +150,15 @@ class LayerSpec:
         grid's bias and step, and kept, read-only, on the layer."""
         if "_grid" not in self.__dict__:
             wk = self.weights / self.scale_column()
-            m = max(float(np.abs(wk).max()), float(np.abs(self.bias).max()))
+            m = max(_max_abs(wk), _max_abs(self.bias))
             # at least the smallest float, 2**-1074, or it would underflow
             step = math.ldexp(1.0, max(
                 (math.ceil(math.log2(m)) if m else 0) - GRID_BITS, -1074))
-            wk, b = (round_half_away(a / step) * step for a in (wk, self.bias))
+            # in place where round_half_away allows: W/k can be large
+            wk /= step
+            wk = round_half_away(wk)
+            wk *= step
+            b = round_half_away(self.bias / step) * step
             wk.flags.writeable = b.flags.writeable = False
             object.__setattr__(self, "_grid", (wk, b, step))
         return self._grid[0]
@@ -368,8 +377,8 @@ def _headroom(layer):
     n * bound >= limit is refused, so n also stays an exact count (below
     2**53) when a layer's weights are all zero."""
     step = layer.grid_step()
-    return (max(float(np.abs(layer.scaled_weights()).max()), step),
-            float(np.abs(layer.grid_bias()).max()), 2.0 ** 53 * step)
+    return (max(_max_abs(layer.scaled_weights()), step),
+            _max_abs(layer.grid_bias()), 2.0 ** 53 * step)
 
 
 def _layer_consts(net):
