@@ -79,8 +79,8 @@ def apply_activation(name, u):
 
 
 def _max_abs(a):
-    """max|a| without an |a| copy."""
-    return max(float(a.max()), -float(a.min()))
+    """max|a| without an |a| copy; 0 for an empty array."""
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
 
 # Each layer's rounding and sigma-delta arithmetic runs on a grid of step

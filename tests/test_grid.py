@@ -101,6 +101,13 @@ class TestSnapToGrid:
         assert want[0, 0] == 6 * layer.weights[0, 0] > 0
         assert np.array_equal(stepped(net, X)[0], want)
 
+    def test_layer_without_inputs(self):
+        # its bias is its output, as it was before layers snapped
+        net = NetworkSpec([LayerSpec(np.zeros((0, 3)), np.ones(3), "identity")])
+        assert np.array_equal(forward_rounding(net, np.zeros(0)), np.ones(3))
+        assert np.array_equal(SigmaDeltaRuntime(net).step(np.zeros(0)),
+                              np.ones(3))
+
     def test_with_scales_snaps_on_its_own_grid(self):
         # a finer scale shrinks W/k, and the step with it
         net = random_net(np.random.default_rng(2), [6, 5, 3],
