@@ -6,12 +6,16 @@ Subcommands:
   train-mlp          plain-backprop classifier training (produces --net files)
   check-equivalence  run all four executors over one stream and compare
 
-Exit codes: 0 success, 2 validation failure, 3 tolerance breach.
-Every subcommand is deterministic under a fixed --seed; the environment
-variable SIGDEL_THREADS caps sweep workers.
+Each option's dest is the keyword of the library function behind its
+command; an option left out is not passed, so that function's default
+applies and that function alone checks the value.  Exit codes: 0 success,
+2 a refused value or file (one "error:" line on stderr), 3 tolerance
+breach.  Every subcommand is deterministic under a fixed --seed; the
+environment variable SIGDEL_THREADS caps sweep workers.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -23,6 +27,7 @@ from .experiments import (equivalence_check, find_mnist_files,
                           mnist_experiment, random_net_experiment)
 from .mlp import accuracy, train_mlp
 from .network import load_network, save_network
+from .scale_opt import SURROGATES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -39,144 +44,119 @@ def _lambda_list(text):
     return values
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="sigmadelta",
-        description="Event-driven network experiments and checks.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", required=True, help="output directory")
-
-    rn = sub.add_parser("random-net", help="random-network tradeoff sweep")
-    common(rn)
-    rn.add_argument("--lambda-list", type=_lambda_list,
-                    default=[1e-8, 1e-7, 1e-6, 1e-5])
-    rn.add_argument("--eta", type=float, default=0.02)
-    rn.add_argument("--epochs", type=int, default=6)
-    rn.add_argument("--surrogate", choices=["ste", "noise"], default="ste")
-    rn.add_argument("--n-random", type=int, default=1000)
-    rn.add_argument("--train-frames", type=int, default=2048)
-    rn.add_argument("--eval-frames", type=int, default=512)
-
-    mn = sub.add_parser("mnist", help="sweep on MNIST and its temporal reshuffle")
-    common(mn)
-    mn.add_argument("--mnist-dir", required=True)
-    mn.add_argument("--net", required=True, help="pretrained network file")
-    mn.add_argument("--lambda-list", type=_lambda_list, default=None)
-    mn.add_argument("--eta", type=float, default=0.01)
-    mn.add_argument("--epochs", type=int, default=2)
-    mn.add_argument("--surrogate", choices=["ste", "noise"], default="ste")
-    mn.add_argument("--buffer-size", type=int, default=1000)
-    mn.add_argument("--opt-frames", type=int, default=None,
-                    help="cap on frames used for scale optimization")
-    mn.add_argument("--limit-train", type=int, default=None)
-    mn.add_argument("--limit-test", type=int, default=None)
-
-    tr = sub.add_parser("train-mlp", help="train a classifier on MNIST")
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--mnist-dir", required=True)
-    tr.add_argument("--net", required=True, help="where to write the network")
-    tr.add_argument("--epochs", type=int, default=50)
-    tr.add_argument("--target-acc", type=float, default=0.978)
-    tr.add_argument("--dims", type=lambda s: [int(v) for v in s.split(",")],
-                    default=[784, 200, 200, 10])
-
-    ck = sub.add_parser("check-equivalence",
-                        help="compare all four executors on one stream")
-    ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--out", default=None, help="optional report directory")
-    ck.add_argument("--net", default=None, help="network file (default: generated)")
-    ck.add_argument("--frames", type=int, default=500)
-    ck.add_argument("--smoothness", type=float, default=0.5)
-    ck.add_argument("--sd-tol", type=float, default=1e-4)
-    ck.add_argument("--td-tol", type=float, default=1e-6)
-    return p
-
-
-def cmd_random_net(args):
-    random_net_experiment(
-        args.out, seed=args.seed, lambdas=args.lambda_list,
-        n_random=args.n_random, train_frames=args.train_frames,
-        eval_frames=args.eval_frames, epochs=args.epochs, eta=args.eta,
-        surrogate=args.surrogate)
-    print(f"random-net results written to {args.out}")
+def cmd_random_net(opts):
+    random_net_experiment(**opts)
+    print(f"random-net results written to {opts['out_dir']}")
     return EXIT_OK
 
 
-def cmd_mnist(args):
-    if not os.path.exists(args.net):
-        print(f"error: no such file: {args.net}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        find_mnist_files(args.mnist_dir, "train")
-        find_mnist_files(args.mnist_dir, "test")
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    mnist_experiment(
-        args.mnist_dir, args.net, args.out, seed=args.seed,
-        lambdas=args.lambda_list, eta=args.eta, epochs=args.epochs,
-        surrogate=args.surrogate, buffer_size=args.buffer_size,
-        opt_frames=args.opt_frames, limit_train=args.limit_train,
-        limit_test=args.limit_test)
-    print(f"mnist report written to {args.out}")
+def cmd_mnist(opts):
+    mnist_experiment(**opts)
+    print(f"mnist report written to {opts['out_dir']}")
     return EXIT_OK
 
 
-def cmd_train_mlp(args):
-    try:
-        train_imgs, train_labels = find_mnist_files(args.mnist_dir, "train")
-        test_imgs, test_labels = find_mnist_files(args.mnist_dir, "test")
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    train = load_idx(train_imgs, train_labels)
-    test = load_idx(test_imgs, test_labels)
-    rng = np.random.default_rng(args.seed)
-    net, history = train_mlp(train.frames, train.labels, dims=tuple(args.dims),
-                             rng=rng, epochs=args.epochs,
-                             target_acc=args.target_acc, verbose=True)
+def cmd_train_mlp(opts):
+    mnist_dir, path = opts.pop("mnist_dir"), opts.pop("net")
+    train = load_idx(*find_mnist_files(mnist_dir, "train"))
+    test = load_idx(*find_mnist_files(mnist_dir, "test"))
+    rng = np.random.default_rng(opts.pop("seed"))
+    net, history = train_mlp(train.frames, train.labels, rng=rng,
+                             verbose=True, **opts)
     test_acc = accuracy(net, test.frames, test.labels)
-    save_network(net, args.net)
-    print(f"saved {args.net}: val_acc={history[-1]['val_acc']:.4f} "
+    save_network(net, path)
+    print(f"saved {path}: val_acc={history[-1]['val_acc']:.4f} "
           f"test_acc={test_acc:.4f}")
-    if test_acc < args.target_acc:
+    target_acc = opts.get("target_acc", inspect.signature(
+        train_mlp).parameters["target_acc"].default)
+    if test_acc < target_acc:
         print(f"warning: test accuracy {test_acc:.4f} below target "
-              f"{args.target_acc}", file=sys.stderr)
+              f"{target_acc}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_check(args):
-    net = None
-    if args.net is not None:
-        if not os.path.exists(args.net):
-            print(f"error: no such file: {args.net}", file=sys.stderr)
-            return EXIT_VALIDATION
-        net = load_network(args.net)
-    report = equivalence_check(net=net, seed=args.seed, n_frames=args.frames,
-                               smoothness=args.smoothness,
-                               sd_tol=args.sd_tol, td_tol=args.td_tol)
+def cmd_check(opts):
+    out = opts.pop("out", None)
+    if "net" in opts:
+        opts["net"] = load_network(opts["net"])
+    report = equivalence_check(**opts)
     for key, value in report.items():
         print(f"{key}: {value}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "equivalence.json"), "w") as f:
+    if out:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "equivalence.json"), "w") as f:
             json.dump(report, f, sort_keys=True, indent=2)
             f.write("\n")
     return EXIT_OK if report["passed"] else EXIT_TOLERANCE
 
 
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="sigmadelta",
+        description="Event-driven network experiments and checks.")
+    sub = p.add_subparsers(metavar="command", required=True)
+
+    def command(name, run, summary):
+        sp = sub.add_parser(name, help=summary,
+                            argument_default=argparse.SUPPRESS)
+        sp.set_defaults(run=run)
+        return sp
+
+    def sweep_options(sp):
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--out", dest="out_dir", required=True,
+                        help="output directory")
+        sp.add_argument("--lambda-list", dest="lambdas", type=_lambda_list)
+        sp.add_argument("--eta", type=float)
+        sp.add_argument("--epochs", type=int)
+        sp.add_argument("--surrogate", help=" or ".join(SURROGATES))
+
+    rn = command("random-net", cmd_random_net, "random-network tradeoff sweep")
+    sweep_options(rn)
+    rn.add_argument("--n-random", type=int)
+    rn.add_argument("--train-frames", type=int)
+    rn.add_argument("--eval-frames", type=int)
+
+    mn = command("mnist", cmd_mnist,
+                 "sweep on MNIST and its temporal reshuffle")
+    sweep_options(mn)
+    mn.add_argument("--mnist-dir", required=True)
+    mn.add_argument("--net", dest="net_path", required=True,
+                    help="pretrained network file")
+    mn.add_argument("--buffer-size", type=int)
+    mn.add_argument("--opt-frames", type=int,
+                    help="cap on frames used for scale optimization")
+    mn.add_argument("--limit-train", type=int)
+    mn.add_argument("--limit-test", type=int)
+
+    tr = command("train-mlp", cmd_train_mlp, "train a classifier on MNIST")
+    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--mnist-dir", required=True)
+    tr.add_argument("--net", required=True, help="where to write the network")
+    tr.add_argument("--epochs", type=int)
+    tr.add_argument("--target-acc", type=float)
+    tr.add_argument("--dims", type=lambda s: tuple(int(v) for v in s.split(",")))
+
+    ck = command("check-equivalence", cmd_check,
+                 "compare all four executors on one stream")
+    ck.add_argument("--seed", type=int)
+    ck.add_argument("--out", help="optional report directory")
+    ck.add_argument("--net", help="network file (default: generated)")
+    ck.add_argument("--frames", dest="n_frames", type=int)
+    ck.add_argument("--smoothness", type=float)
+    ck.add_argument("--sd-tol", type=float)
+    ck.add_argument("--td-tol", type=float)
+    return p
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "random-net": cmd_random_net,
-        "mnist": cmd_mnist,
-        "train-mlp": cmd_train_mlp,
-        "check-equivalence": cmd_check,
-    }
-    return handlers[args.command](args)
+    opts = vars(build_parser().parse_args(argv))
+    run = opts.pop("run")
+    try:
+        return run(opts)
+    except (ValueError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

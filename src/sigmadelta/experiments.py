@@ -42,7 +42,11 @@ def worker_count(n_tasks, requested=None):
     cap = requested if requested is not None else (os.cpu_count() or 1)
     env = os.environ.get("SIGDEL_THREADS")
     if env:
-        cap = min(int(cap), int(env))
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ValueError(f"SIGDEL_THREADS={env!r} is not an integer") from None
+        cap = min(int(cap), limit)
     return max(1, min(int(cap), n_tasks))
 
 
@@ -60,20 +64,19 @@ def _write_manifest(out_dir, config):
         f.write("\n")
 
 
-def _optimize_sweep(net, frames, lambdas, seed, first, threads, **cfg):
-    """optimize at TradeoffConfig(lam=lambdas[i], **cfg) for each i on the
-    sweep pool, seeded [seed, first + i] whatever the worker count.  Each
-    run gives its OptimizeResult or the DivergenceError it raised."""
+def _optimize_sweep(net, frames, configs, seed, first, workers):
+    """optimize at configs[i] for each i on a pool of `workers` threads,
+    seeded [seed, first + i] whatever the worker count.  Each run gives
+    its OptimizeResult or the DivergenceError it raised."""
     def run(i):
-        cfg_i = TradeoffConfig(lam=lambdas[i], **cfg)
         try:
-            return optimize(net, frames, cfg_i,
+            return optimize(net, frames, configs[i],
                             rng=np.random.default_rng([seed, first + i]))
         except DivergenceError as e:
             return e
 
-    with ThreadPoolExecutor(worker_count(len(lambdas), threads)) as pool:
-        return list(pool.map(run, range(len(lambdas))))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, range(len(configs))))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +154,20 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
     Draws n_random random per-layer rescalings to map the error/computation
     plane, then optimizes scales for each lambda and records the
     trajectories and endpoints.  Writes cloud.csv, trajectories.csv,
-    endpoints.csv and a manifest into out_dir.
+    endpoints.csv and a manifest into out_dir.  Every argument is checked
+    before the first file is written.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    if n_random < 1:
+        raise ValueError("n_random must be >= 1")
+    configs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
+                              batch_size=batch_size, surrogate=surrogate)
+               for lam in lambdas]
+    workers = worker_count(len(configs), threads)
     rng = np.random.default_rng(seed)
     net = gen_random_network(rng)
     train = gen_random_stream(rng, train_frames, net.input_dim).frames
     evalX = gen_random_stream(rng, eval_frames, net.input_dim).frames
+    os.makedirs(out_dir, exist_ok=True)
     y_true = dense_batch(net, evalX)
     n_layers = len(net.layers)
 
@@ -169,9 +179,7 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
     _write_csv(os.path.join(out_dir, "cloud.csv"),
                ["sample_id", "error", "kflops"], cloud)
 
-    results = _optimize_sweep(net, train, lambdas, seed, 0, threads, eta=eta,
-                              epochs=epochs, batch_size=batch_size,
-                              surrogate=surrogate)
+    results = _optimize_sweep(net, train, configs, seed, 0, workers)
 
     cloud_pts = np.array([(e, c) for _, e, c in cloud])
     traj_rows, endpoint_rows, endpoints = [], [], []
@@ -218,17 +226,14 @@ def find_mnist_files(mnist_dir, split):
     """Locate the IDX pair for a split, tolerating .gz and dotted names."""
     pairs = []
     for base in (_IMAGE_NAMES[split], _LABEL_NAMES[split]):
-        found = None
         for name in (base, base + ".gz", base.replace("-idx", ".idx"),
                      base.replace("-idx", ".idx") + ".gz"):
             p = os.path.join(mnist_dir, name)
             if os.path.exists(p):
-                found = p
+                pairs.append(p)
                 break
-        if found is None:
-            raise FileNotFoundError(
-                f"missing {base}[.gz] under {mnist_dir}")
-        pairs.append(found)
+        else:
+            raise FileNotFoundError(f"missing {base}[.gz] under {mnist_dir}")
     return pairs
 
 
@@ -296,18 +301,26 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     errors, are equal.  Settings and trace files are named
     after repr(float(lam)).  limit_* truncate the datasets (for smoke
     tests); opt_frames caps how many training frames the scale
-    optimization sees.
+    optimization sees.  The data, the net and every argument are checked
+    before out_dir is made (buffer_size by the reshuffle).
     """
-    os.makedirs(out_dir, exist_ok=True)
+    for name, value in (("limit_train", limit_train),
+                        ("limit_test", limit_test), ("opt_frames", opt_frames)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1 when given")
     if lambdas is None:
         lambdas = [10.0 ** float(e) for e in np.linspace(-10, -5, 10)]
+    configs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
+                              batch_size=batch_size, surrogate=surrogate)
+               for lam in lambdas]
+    workers = worker_count(len(configs), threads)
     rng = np.random.default_rng(seed)
 
     train = load_idx(*find_mnist_files(mnist_dir, "train"))
     test = load_idx(*find_mnist_files(mnist_dir, "test"))
-    if limit_train:
+    if limit_train is not None:
         train = type(train)(train.frames[:limit_train], train.labels[:limit_train])
-    if limit_test:
+    if limit_test is not None:
         test = type(test)(test.frames[:limit_test], test.labels[:limit_test])
     net = load_network(net_path)
     if net.input_dim != train.width:
@@ -321,6 +334,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
             "test": temporal_reshuffle(test, buffer_size, rng),
         },
     }
+    os.makedirs(out_dir, exist_ok=True)
 
     # The original network's numbers do not depend on the scale setting or
     # the frame order; compute them once.
@@ -343,9 +357,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
 
     opt_X = train.frames if opt_frames is None else train.frames[:opt_frames]
 
-    sweep = _optimize_sweep(net, opt_X, lambdas, seed, 1, threads, eta=eta,
-                            epochs=epochs, batch_size=batch_size,
-                            surrogate=surrogate)
+    sweep = _optimize_sweep(net, opt_X, configs, seed, 1, workers)
     settings = [("unoptimized", [1.0] * len(net.layers))]
     for lam, result in zip(lambdas, sweep):
         scales = (None if isinstance(result, DivergenceError)

@@ -36,6 +36,8 @@ def train_mlp(images, labels, dims=(784, 200, 200, 10), rng=None, epochs=50,
     cross-entropy and validation accuracy.  Stops early once the target
     is reached.
     """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
     X = np.asarray(images, dtype=np.float64)

@@ -61,6 +61,10 @@ class TradeoffConfig:
             raise ValueError("lam must be nonnegative")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
 

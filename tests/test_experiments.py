@@ -158,6 +158,12 @@ class TestWorkerCount:
         monkeypatch.setenv("SIGDEL_THREADS", "0")
         assert worker_count(4, requested=4) == 1
 
+    @pytest.mark.parametrize("env", ["abc", "2.5", "1e3"])
+    def test_non_integer_env_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv("SIGDEL_THREADS", env)
+        with pytest.raises(ValueError, match=f"SIGDEL_THREADS={env!r}"):
+            worker_count(4, requested=4)
+
 
 def diverge_at(monkeypatch, lam):
     """Make the drivers' optimize raise DivergenceError for one lambda,
@@ -179,6 +185,20 @@ def read_rows(path):
 
 
 class TestRandomNetExperiment:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_random=0), dict(n_random=-2), dict(eta=0.0),
+        dict(lambdas=(1e-6, -1e-6)), dict(epochs=-1), dict(batch_size=0),
+        dict(surrogate="nope"), dict(train_frames=0), dict(eval_frames=0),
+        dict(env="abc")], ids=str)
+    def test_refused_value_writes_nothing(self, tmp_path, monkeypatch, kwargs):
+        # every argument is checked before cloud.csv, the first output
+        kwargs = dict(kwargs)
+        monkeypatch.setenv("SIGDEL_THREADS", kwargs.pop("env", "1"))
+        small = dict(n_random=5, train_frames=32, eval_frames=16, epochs=1)
+        with pytest.raises(ValueError):
+            random_net_experiment(str(tmp_path / "rn"), **{**small, **kwargs})
+        assert list(tmp_path.iterdir()) == []
+
     def test_outputs_and_dominance(self, tmp_path):
         out = tmp_path / "rn"
         res = random_net_experiment(
@@ -261,7 +281,43 @@ def make_digit_fixture(tmp_path, rng, width=64, classes=10, n_train=192,
     return ddir, net_path
 
 
+@pytest.fixture(scope="module")
+def digits(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("digits")
+    return make_digit_fixture(tmp, np.random.default_rng(6), n_train=96,
+                              n_test=48)
+
+
 class TestMnistExperiment:
+    @pytest.mark.parametrize("kwargs", [
+        dict(limit_train=0), dict(limit_train=-5), dict(limit_test=0),
+        dict(limit_test=-5), dict(opt_frames=0), dict(opt_frames=-1),
+        dict(eta=0.0), dict(lambdas=[-1e-6]), dict(epochs=-1),
+        dict(buffer_size=0), dict(env="abc")], ids=str)
+    def test_refused_value_writes_nothing(self, digits, tmp_path, monkeypatch,
+                                          kwargs):
+        # the data, the net and every argument are checked before out_dir
+        # is made; a zero limit is refused, not read as "no limit"
+        kwargs = dict(kwargs)
+        monkeypatch.setenv("SIGDEL_THREADS", kwargs.pop("env", "1"))
+        ddir, net_path = digits
+        with pytest.raises(ValueError):
+            mnist_experiment(str(ddir), str(net_path), str(tmp_path / "o"),
+                             **{"lambdas": [1e-6], "epochs": 1, **kwargs})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad_net", ["missing", "malformed", "width"])
+    def test_bad_net_writes_nothing(self, digits, tmp_path, bad_net):
+        ddir, _ = digits
+        net_path = tmp_path / "net.json"
+        if bad_net == "malformed":
+            net_path.write_text("not json")
+        elif bad_net == "width":
+            save_network(random_net(np.random.default_rng(0), [5, 3]), net_path)
+        with pytest.raises((ValueError, FileNotFoundError)):
+            mnist_experiment(str(ddir), str(net_path), str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
     def test_full_pipeline_on_synthetic_digits(self, tmp_path):
         rng = np.random.default_rng(3)
         ddir, net_path = make_digit_fixture(tmp_path, rng)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sigmadelta.mlp import accuracy, train_mlp
 
@@ -26,6 +27,12 @@ def test_early_stopping_cuts_epochs():
     _, history = train_mlp(X, y, dims=(20, 8, 3), rng=rng, epochs=50,
                            target_acc=0.9)
     assert len(history) < 50
+
+
+def test_epochs_must_be_positive():
+    X, y = make_blobs(np.random.default_rng(3), n=50)
+    with pytest.raises(ValueError, match="epochs"):
+        train_mlp(X, y, dims=(20, 8, 3), epochs=0)
 
 
 def test_deterministic_under_seed():

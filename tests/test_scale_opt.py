@@ -106,6 +106,23 @@ class TestUpdateScales:
             update_scales(LogScales([0.0]), [1.0], 0.0)
 
 
+class TestTradeoffConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(lam=-1e-6), dict(eta=0.0), dict(epochs=-1), dict(batch_size=0),
+        dict(batch_size=-3), dict(surrogate="nope")], ids=str)
+    def test_refuses(self, kwargs):
+        with pytest.raises(ValueError):
+            TradeoffConfig(**kwargs)
+
+    def test_zero_epochs_is_allowed(self):
+        # no optimization step: the scales stay at their start
+        rng = np.random.default_rng(0)
+        net = random_net(rng, [4, 3], scale_range=(1.0, 1.0))
+        res = optimize(net, rng.standard_normal((8, 4)),
+                       TradeoffConfig(epochs=0), rng=rng)
+        assert res.trace == [] and res.scales.scales() == [1.0]
+
+
 def _fd_gradient(net, x, kappas, cfg, noise_seed, h=1e-5):
     """Central finite differences of the error loss, replaying the noise."""
     y_true = dense_batch(net, np.atleast_2d(x))
