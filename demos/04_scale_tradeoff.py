@@ -38,7 +38,7 @@ print(f"{'lambda':>8} {'k1':>7} {'k2':>7} {'k3':>7} {'error':>8} {'kflops':>8}")
 for i, lam in enumerate((1e-8, 1e-7, 1e-6, 1e-5)):
     cfg = TradeoffConfig(lam=lam, eta=0.02, epochs=6, batch_size=32)
     result = optimize(net, train, cfg, rng=np.random.default_rng([seed, i]))
-    k = result.scales.scales()
+    k = result.scales
     err, kf = measure(k)
     print(f"{lam:8.0e} {k[0]:7.2f} {k[1]:7.2f} {k[2]:7.2f} {err:8.3f} {kf:8.2f}")
 
@@ -52,7 +52,7 @@ rng2 = np.random.default_rng(123)
 cloud = [measure(list(np.exp(rng2.uniform(-3, 3, 3)))) for _ in range(200)]
 cfg = TradeoffConfig(lam=1e-6, eta=0.02, epochs=6, batch_size=32)
 res = optimize(net, train, cfg, rng=np.random.default_rng([seed, 2]))
-err, kf = measure(res.scales.scales())
+err, kf = measure(res.scales)
 dominated = sum(1 for e, c in cloud
                 if e <= err and c <= kf and (e < err or c < kf))
 print(f"optimized point (error {err:.3f}, {kf:.1f} kflops) is dominated by "

@@ -19,9 +19,8 @@ from .network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
 from .costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity, energy,
                     flops_dense, flops_rounding, flops_sigma_delta,
                     flops_sparse, write_report_csv)
-from .scale_opt import (DivergenceError, LogScales, TradeoffConfig, comp_loss,
-                        error_loss, grad_kappa, optimize, scaled_forward,
-                        update_scales)
+from .scale_opt import (DivergenceError, TradeoffConfig, error_loss,
+                        grad_kappa, optimize, scaled_forward, update_scales)
 from .data import (FrameDataset, gen_random_network, gen_random_stream,
                    load_idx, save_idx, temporal_reshuffle)
 from .mlp import accuracy, train_mlp
@@ -36,8 +35,8 @@ __all__ = [
     "DEFAULT_ENERGY_TABLE", "EnergyTable", "LayerActivity", "energy",
     "flops_dense", "flops_rounding", "flops_sigma_delta", "flops_sparse",
     "write_report_csv",
-    "DivergenceError", "LogScales", "TradeoffConfig", "comp_loss",
-    "error_loss", "grad_kappa", "optimize", "scaled_forward", "update_scales",
+    "DivergenceError", "TradeoffConfig", "error_loss", "grad_kappa",
+    "optimize", "scaled_forward", "update_scales",
     "FrameDataset", "gen_random_network", "gen_random_stream", "load_idx",
     "save_idx", "temporal_reshuffle",
     "accuracy", "train_mlp",

@@ -154,7 +154,7 @@ def main(argv=None):
     run = opts.pop("run")
     try:
         return run(opts)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -92,6 +92,9 @@ def equivalence_check(net=None, frames=None, seed=0, n_frames=500,
     dense count per frame, and the closed forms on the events that
     rounding_batch and the sigma-delta step record.
     """
+    for name, tol in (("sd_tol", sd_tol), ("td_tol", td_tol)):
+        if not tol >= 0:  # NaN too: no run meets it
+            raise ValueError(f"{name} must be >= 0, got {tol}")
     rng = np.random.default_rng(seed)
     if net is None:
         net = gen_random_network(rng, dims=(24, 32, 32, 16),
@@ -191,7 +194,7 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
         for stp in result.trace:
             traj_rows.append([lam, stp.step, stp.error_loss,
                               stp.round_flops / 1000.0])
-        scales = result.scales.scales()
+        scales = result.scales
         err, kflops = _eval_rounding_point(net, scales, evalX, y_true)
         dominated = np.mean((cloud_pts[:, 0] <= err) & (cloud_pts[:, 1] <= kflops)
                             & ((cloud_pts[:, 0] < err) | (cloud_pts[:, 1] < kflops)))
@@ -361,7 +364,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     settings = [("unoptimized", [1.0] * len(net.layers))]
     for lam, result in zip(lambdas, sweep):
         scales = (None if isinstance(result, DivergenceError)
-                  else result.scales.scales())
+                  else result.scales)
         # repr, not a rounded format, so distinct lambdas get distinct
         # names; float() keeps a numpy scalar's repr plain
         label = repr(float(lam))

@@ -573,6 +573,7 @@ def bake_scales(net):
 
 _FORMAT_NAME = "sigmadelta-network"
 _FORMAT_VERSION = 1
+_LAYER_KEYS = ("d_in", "d_out", "activation", "scale", "weights", "bias")
 
 
 def _encode_array(a):
@@ -580,6 +581,8 @@ def _encode_array(a):
 
 
 def _decode_array(s, shape):
+    if not isinstance(s, str) or not all(isinstance(n, int) for n in shape):
+        raise ValueError("an array is a base64 string with integer dimensions")
     a = np.frombuffer(base64.b64decode(s), dtype="<f8").astype(np.float64)
     if a.size != int(np.prod(shape)):
         raise ValueError("array payload does not match declared shape")
@@ -611,12 +614,16 @@ def save_network(net, path):
 def load_network(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != _FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"not a {_FORMAT_NAME} file: {path}")
     if doc.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported container version {doc.get('version')}")
+    if not isinstance(doc.get("layers"), list):
+        raise ValueError(f"{path}: 'layers' must be a list")
     layers = []
-    for ld in doc["layers"]:
+    for i, ld in enumerate(doc["layers"]):
+        if not isinstance(ld, dict) or not all(key in ld for key in _LAYER_KEYS):
+            raise ValueError(f"{path}: layer {i} needs the keys {_LAYER_KEYS}")
         w = _decode_array(ld["weights"], (ld["d_in"], ld["d_out"]))
         b = _decode_array(ld["bias"], (ld["d_out"],))
         k = ld["scale"]

@@ -23,12 +23,10 @@ from .quantizers import round_half_away
 
 __all__ = [
     "TradeoffConfig",
-    "LogScales",
     "TraceStep",
     "OptimizeResult",
     "DivergenceError",
     "error_loss",
-    "comp_loss",
     "scaled_forward",
     "grad_kappa",
     "update_scales",
@@ -73,47 +71,6 @@ class TradeoffConfig:
         return "kl" if net.layers[-1].activation == "softmax" else "l2"
 
 
-class LogScales:
-    """Per-layer log-scales; k = exp(kappa) is positive by construction.
-
-    Layerwise entries are floats; unitwise entries are vectors over the
-    layer's input width.
-    """
-
-    def __init__(self, kappas):
-        self.kappas = [np.asarray(k, dtype=np.float64) if np.ndim(k) else float(k)
-                       for k in kappas]
-        for k in self.kappas:
-            if not np.all(np.isfinite(k)):
-                raise ValueError("kappas must be finite")
-
-    @classmethod
-    def zeros(cls, net, unitwise=False):
-        if unitwise:
-            return cls([np.zeros(l.d_in) for l in net.layers])
-        return cls([0.0] * len(net.layers))
-
-    @classmethod
-    def from_scales(cls, scales):
-        return cls([np.log(k) for k in scales])
-
-    def scales(self):
-        return [np.exp(k) if np.ndim(k) else float(np.exp(k)) for k in self.kappas]
-
-    def apply(self, net):
-        """Return the network with these scales installed."""
-        return net.with_scales(self.scales())
-
-    def copy(self):
-        return LogScales([np.array(k) if np.ndim(k) else k for k in self.kappas])
-
-    def __len__(self):
-        return len(self.kappas)
-
-    def __repr__(self):
-        return f"LogScales(k={[np.round(s, 4) for s in self.scales()]})"
-
-
 def error_loss(y_round, y_true, distance):
     """Distance between quantized and reference outputs.
 
@@ -149,12 +106,6 @@ def _distance(y_round, y_true, distance):
         terms = np.where(t > 0, t * (np.log(np.maximum(t, _PROB_FLOOR)) - np.log(q)), 0.0)
         return float(np.mean(terms.sum(axis=-1)))
     raise ValueError(f"unknown distance {distance!r}")
-
-
-def comp_loss(activity):
-    """Total hidden-layer event additions: sum over layers past the first
-    of |s_l|_L1 * fan-out, for the frames the activity recorded."""
-    return int((activity.l1[1:] * np.asarray(activity.fanouts[1:])).sum())
 
 
 def _as_batch(net, x):
@@ -220,7 +171,6 @@ def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
     'noise' replaces rounding with additive uniform noise; 'identity'
     disables quantization entirely.
     """
-    kappas = kappas.kappas if isinstance(kappas, LogScales) else kappas
     X, single = _as_batch(net, x)
     A = _forward_trace(net, X, kappas, surrogate, rng)[0]
     return A[-1][0] if single else A[-1]
@@ -262,7 +212,6 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     by cfg.lam.  info carries the batch losses and actual (rounded) event
     counts so callers can trace training without a second pass.
     """
-    kappas = kappas.kappas if isinstance(kappas, LogScales) else kappas
     if len(kappas) != len(net.layers):
         raise ValueError("need one kappa per layer")
     X, _ = _as_batch(net, x)
@@ -322,17 +271,18 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
 
 
 def update_scales(kappas, grads, eta):
-    """Plain gradient step in log-space: kappa <- kappa - eta * grad."""
+    """Plain gradient step in log-space: kappa <- kappa - eta * grad.
+
+    Returns the new list of log-scales; the arguments are not modified."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    ks = kappas.kappas if isinstance(kappas, LogScales) else kappas
-    if len(ks) != len(grads):
+    if len(kappas) != len(grads):
         raise ValueError("one gradient per layer required")
-    new = [k - eta * g for k, g in zip(ks, grads)]
+    new = [k - eta * g for k, g in zip(kappas, grads)]
     for i, k in enumerate(new):
         if not np.all(np.isfinite(k)):
             raise ValueError(f"non-finite kappa at layer {i} after update")
-    return LogScales(new)
+    return new
 
 
 @dataclass
@@ -348,12 +298,25 @@ class TraceStep:
 
 @dataclass
 class OptimizeResult:
-    scales: LogScales
+    scales: list
     trace: list = field(default_factory=list)
 
-    @property
-    def steps(self):
-        return len(self.trace)
+
+def _log_scales(net, init):
+    """kappa = log k for optimize's init, refusing what no net could use."""
+    if len(init) != len(net.layers):
+        raise ValueError(f"init needs one scale per layer ({len(net.layers)}), "
+                         f"got {len(init)}")
+    kappas = []
+    for i, (k, layer) in enumerate(zip(init, net.layers)):
+        k = np.asarray(k, dtype=np.float64)
+        if k.ndim and k.shape != (layer.d_in,):
+            raise ValueError(f"init scale at layer {i} must be a float or a "
+                             f"vector of its {layer.d_in} inputs")
+        if not np.all(np.isfinite(k) & (k > 0)):
+            raise ValueError(f"init scale at layer {i} must be positive and finite")
+        kappas.append(np.log(k) if k.ndim else float(np.log(k)))
+    return kappas
 
 
 class DivergenceError(RuntimeError):
@@ -371,16 +334,21 @@ def optimize(net, frames, cfg, rng, init=None):
     """Minibatch-optimize the layer scales on a set of input frames.
 
     The reference output for every sample comes from the original dense
-    network; scales start at k=1 unless init is given.  Returns the final
-    scales and a per-step trace of (error, computation).  Raises
+    network.  Scales start at k=1, or at init: positive scales, one per
+    layer, a float or (unitwise) a vector over the layer's inputs.  Returns
+    the final scales k in that same form, ready for net.with_scales or a
+    later init, and a per-step trace of (error, computation).  Raises
     DivergenceError if the error loss exceeds 10x (_DIVERGENCE_FACTOR) its
     initial value for divergence_patience consecutive steps.
     """
     X = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("frames must be a nonempty (n, d) array")
-    kappas = (init.copy() if init is not None
-              else LogScales.zeros(net, unitwise=cfg.unitwise))
+    if init is None:
+        kappas = ([np.zeros(l.d_in) for l in net.layers] if cfg.unitwise
+                  else [0.0] * len(net.layers))
+    else:
+        kappas = _log_scales(net, init)
 
     y_true = dense_batch(net, X)
 
@@ -403,7 +371,7 @@ def optimize(net, frames, cfg, rng, init=None):
                 error_loss=info["error_loss"],
                 comp_loss=info["comp_loss"],
                 round_flops=info["round_flops"],
-                scales=[float(np.mean(np.exp(np.asarray(k)))) for k in kappas.kappas],
+                scales=[float(np.mean(np.exp(np.asarray(k)))) for k in kappas],
                 diverging=diverging))
             if diverging:
                 if streak_start is None:
@@ -413,4 +381,5 @@ def optimize(net, frames, cfg, rng, init=None):
             else:
                 streak_start = None
             step += 1
-    return OptimizeResult(scales=kappas, trace=trace)
+    scales = [np.exp(k) if np.ndim(k) else float(np.exp(k)) for k in kappas]
+    return OptimizeResult(scales=scales, trace=trace)

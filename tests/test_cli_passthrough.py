@@ -7,6 +7,7 @@ the function refuses exits 2 with one "error:" line and no file written.
 
 import argparse
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -85,12 +86,21 @@ def test_readme_synopsis_lists_exactly_the_parser_options():
 
 
 @pytest.fixture(scope="module")
-def digits(tmp_path_factory):
+def inputs(tmp_path_factory):
+    """{name: path} for the digit data, its net and refused --net files."""
     tmp = tmp_path_factory.mktemp("digits")
     ddir, net_path = make_digit_fixture(tmp, np.random.default_rng(11))
-    malformed = tmp / "malformed.json"
-    malformed.write_text("not json")
-    return str(ddir), str(net_path), str(malformed)
+    header = {"format": "sigmadelta-network", "version": 1}
+    layer = json.loads(net_path.read_text())["layers"][0]
+    del layer["weights"]
+    docs = {"malformed": "not json", "json_list": "[1, 2]",
+            "no_layers": json.dumps(header),
+            "no_weights": json.dumps(dict(header, layers=[layer]))}
+    paths = {"ddir": str(ddir), "net": str(net_path), "directory": str(ddir)}
+    for name, text in docs.items():
+        (tmp / f"{name}.json").write_text(text)
+        paths[name] = str(tmp / f"{name}.json")
+    return paths
 
 
 SMALL_RN = ["--n-random", "5", "--train-frames", "32", "--eval-frames", "16",
@@ -105,8 +115,13 @@ REFUSED = {
     "check-equivalence --frames 0": ["check-equivalence", "--frames", "0"],
     "check-equivalence --smoothness 2": ["check-equivalence",
                                          "--smoothness", "2"],
-    "check-equivalence --net malformed": ["check-equivalence", "--net",
-                                          "{malformed}"],
+    "check-equivalence --td-tol -1": ["check-equivalence", "--td-tol", "-1",
+                                      "--frames", "20"],
+    "check-equivalence --sd-tol nan": ["check-equivalence", "--sd-tol", "nan"],
+    **{f"check-equivalence --net {name}": ["check-equivalence", "--net",
+                                           f"{{{name}}}"]
+       for name in ("malformed", "json_list", "no_layers", "no_weights",
+                    "directory")},
     "train-mlp --epochs 0": ["train-mlp", "--mnist-dir", "{ddir}",
                              "--epochs", "0", "--dims", "64,24,10"],
     "mnist --limit-test -5": ["mnist", "--mnist-dir", "{ddir}", "--net",
@@ -118,15 +133,13 @@ REFUSED = {
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_refused_value_exits_2_with_one_line_and_no_file(
-        name, digits, tmp_path, monkeypatch, capsys):
-    ddir, net, malformed = digits
+        name, inputs, tmp_path, monkeypatch, capsys):
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     monkeypatch.setenv("SIGDEL_THREADS",
                        "abc" if name.startswith("SIGDEL") else "1")
-    argv = [a.format(ddir=ddir, net=net, malformed=malformed)
-            for a in REFUSED[name]]
+    argv = [a.format(**inputs) for a in REFUSED[name]]
     command = argv[0]
     if command in ("random-net", "mnist", "check-equivalence"):
         argv += ["--out", str(work / "out")]

@@ -144,6 +144,17 @@ class TestEquivalenceCheck:
         assert not report["passed"]
         assert report["max_sigma_delta_vs_rounding_rel"] == 0.0
 
+    @pytest.mark.parametrize("tol", [dict(sd_tol=-1e-9), dict(td_tol=-1.0),
+                                     dict(sd_tol=np.nan), dict(td_tol=np.nan)],
+                             ids=str)
+    def test_unmeetable_tolerance_refused_before_any_frame(self, tol, monkeypatch):
+        def no_frame(*args, **kwargs):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(experiments, "forward_original", no_frame)
+        with pytest.raises(ValueError, match="tol"):
+            equivalence_check(seed=0, n_frames=20, **tol)
+
 
 class TestWorkerCount:
     def test_env_caps_requested(self, monkeypatch):

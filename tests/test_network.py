@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -440,6 +442,27 @@ class TestSerialization:
         p.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValueError):
             load_network(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [1, 2],
+        lambda doc: {k: v for k, v in doc.items() if k != "layers"},
+        lambda doc: dict(doc, layers={"0": doc["layers"][0]}),
+        lambda doc: dict(doc, layers=[5]),
+        lambda doc: dict(doc, layers=[{k: v for k, v in doc["layers"][0].items()
+                                       if k != "weights"}]),
+        lambda doc: dict(doc, layers=[{k: v for k, v in doc["layers"][0].items()
+                                       if k != "scale"}]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], weights=5)]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], d_in="3")])],
+        ids=["json-list", "no-layers", "layers-not-a-list", "layer-not-a-dict",
+             "layer-without-weights", "layer-without-scale", "weights-not-a-string",
+             "d_in-not-an-int"])
+    def test_malformed_document_rejected(self, tmp_path, edit):
+        path = tmp_path / "net.json"
+        save_network(random_net(np.random.default_rng(29), [3, 2]), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError):
+            load_network(path)
 
 
 def test_softmax_is_stable_and_normalized():

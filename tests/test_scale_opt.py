@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from sigmadelta.costs import LayerActivity, flops_sigma_delta
+import sigmadelta.scale_opt as scale_opt
+from sigmadelta.costs import LayerActivity, flops_rounding, flops_sigma_delta
 from sigmadelta.data import gen_random_network, gen_random_stream
 from sigmadelta.experiments import dense_batch, rounding_batch
-from sigmadelta.scale_opt import (DivergenceError, LogScales, TradeoffConfig,
-                                  comp_loss, error_loss, grad_kappa, optimize,
-                                  scaled_forward, update_scales)
+from sigmadelta.network import LayerSpec, NetworkSpec
+from sigmadelta.scale_opt import (DivergenceError, TradeoffConfig, error_loss,
+                                  grad_kappa, optimize, scaled_forward,
+                                  update_scales)
 from tests.test_network import random_net
 
 
@@ -42,68 +44,24 @@ class TestErrorLoss:
         assert error_loss(a, b, "l2") == 0.5
 
 
-class TestCompLoss:
-    def test_zero_events(self):
-        act = LayerActivity([5, 3])
-        act.record_frame(l1=[0, 0])
-        assert comp_loss(act) == 0
-
-    def test_single_hidden_layer(self):
-        act = LayerActivity([5, 3])  # fanouts d_1=5, d_2=3
-        act.record_frame(l1=[7, 2])  # |s_0|=7 (input, excluded), |s_1|=2
-        assert comp_loss(act) == 6
-
-    def test_matches_sigma_delta_formula_past_input(self):
-        act = LayerActivity([5, 3])
-        act.record_frame(l1=[0, 4])
-        assert comp_loss(act) == flops_sigma_delta(act)
-
-
-class TestLogScales:
-    def test_zeros_give_unit_scales(self):
-        rng = np.random.default_rng(0)
-        net = random_net(rng, [4, 3, 2])
-        ks = LogScales.zeros(net)
-        assert ks.scales() == [1.0, 1.0]
-
-    def test_scales_always_positive(self):
-        ks = LogScales([-20.0, 0.0, 35.0])
-        assert all(np.all(np.asarray(s) > 0) for s in ks.scales())
-
-    def test_unitwise_shapes(self):
-        rng = np.random.default_rng(0)
-        net = random_net(rng, [4, 3, 2])
-        ks = LogScales.zeros(net, unitwise=True)
-        assert [np.shape(k) for k in ks.kappas] == [(4,), (3,)]
-
-    def test_apply_installs_scales(self):
-        rng = np.random.default_rng(0)
-        net = random_net(rng, [4, 3], scale_range=(1.0, 1.0))
-        scaled = LogScales([np.log(2.0)]).apply(net)
-        assert np.asarray(scaled.layers[0].scale) == pytest.approx(2.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            LogScales([np.inf])
-
-
 class TestUpdateScales:
     def test_zero_gradient_is_identity(self):
-        ks = update_scales(LogScales([0.3, -0.2]), [0.0, 0.0], 0.1)
-        assert ks.kappas == [0.3, -0.2]
+        ks = update_scales([0.3, -0.2], [0.0, 0.0], 0.1)
+        assert ks == [0.3, -0.2]
 
     def test_plain_step(self):
-        ks = update_scales(LogScales([0.0]), [1.0], 0.1)
-        assert ks.kappas[0] == pytest.approx(-0.1)
-        assert ks.scales()[0] == pytest.approx(np.exp(-0.1))
+        kappas = [0.0]
+        ks = update_scales(kappas, [1.0], 0.1)
+        assert ks == [pytest.approx(-0.1)]
+        assert kappas == [0.0]  # a new list; the argument is not modified
 
     def test_non_finite_result_rejected(self):
         with pytest.raises(ValueError):
-            update_scales(LogScales([0.0]), [np.nan], 0.1)
+            update_scales([0.0], [np.nan], 0.1)
 
     def test_eta_positive(self):
         with pytest.raises(ValueError):
-            update_scales(LogScales([0.0]), [1.0], 0.0)
+            update_scales([0.0], [1.0], 0.0)
 
 
 class TestTradeoffConfig:
@@ -120,7 +78,7 @@ class TestTradeoffConfig:
         net = random_net(rng, [4, 3], scale_range=(1.0, 1.0))
         res = optimize(net, rng.standard_normal((8, 4)),
                        TradeoffConfig(epochs=0), rng=rng)
-        assert res.trace == [] and res.scales.scales() == [1.0]
+        assert res.trace == [] and res.scales == [1.0]
 
 
 def _fd_gradient(net, x, kappas, cfg, noise_seed, h=1e-5):
@@ -192,7 +150,7 @@ class TestGradKappa:
         net = gen_random_network(rng)
         xb = gen_random_stream(rng, 64, 100).frames
         cfg = TradeoffConfig(lam=1.0, eta=0.05)
-        kappas = LogScales.zeros(net)
+        kappas = [0.0] * len(net.layers)
         g, before = grad_kappa(net, xb, kappas, cfg)
         stepped = update_scales(kappas, g, cfg.eta)
         _, after = grad_kappa(net, xb, stepped, cfg)
@@ -209,7 +167,7 @@ class TestGradKappa:
         rng = np.random.default_rng(7)
         net = random_net(rng, [5, 4, 3], scale_range=(1.0, 1.0))
         cfg = TradeoffConfig(lam=1e-4, unitwise=True)
-        kappas = LogScales.zeros(net, unitwise=True)
+        kappas = [np.zeros(l.d_in) for l in net.layers]
         g, _ = grad_kappa(net, rng.standard_normal((3, 5)), kappas, cfg)
         assert [np.shape(v) for v in g] == [(5,), (4,)]
 
@@ -238,26 +196,57 @@ class TestGradKappa:
                 assert abs(g[li][j] - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
+class TestTracedCompLoss:
+    """info["comp_loss"]: the rounded events of every layer past the first,
+    times that layer's fan-out, per frame of the batch."""
+
+    def net(self):
+        # the hidden activation is the bias alone: (2.4, -1.0, 1.6)
+        return NetworkSpec([
+            LayerSpec(np.zeros((2, 3)), [2.4, -1.0, 1.6], "identity"),
+            LayerSpec(np.zeros((3, 2)), np.zeros(2), "identity")])
+
+    def test_hand_computed(self):
+        x = np.array([[3.0, -4.0], [1.0, 0.0]])  # input events 7 and 1
+        _, info = grad_kappa(self.net(), x, [0.0, 0.0], TradeoffConfig())
+        assert info["l1_mean"] == [4.0, 5.0]  # round(2.4, -1, 1.6) = (2, -1, 2)
+        assert info["comp_loss"] == 5.0 * 2  # the input layer's 4 * 3 is left out
+        assert info["round_flops"] == 4.0 * 3 + 5.0 * 2 + (3 + 2)
+
+    def test_follows_the_layer_scale(self):
+        x = np.array([[3.0, -4.0]])
+        _, info = grad_kappa(self.net(), x, [0.0, np.log(2.0)], TradeoffConfig())
+        assert info["comp_loss"] == 10.0 * 2  # round(4.8, -2, 3.2) = (5, -2, 3)
+
+    def test_matches_sigma_delta_formula_past_input(self):
+        # the same events as the rounding executor's record, per frame
+        rng = np.random.default_rng(15)
+        net = random_net(rng, [6, 5, 4, 3], scale_range=(1.0, 1.0))
+        X = 3.0 * rng.standard_normal((20, 6))
+        kappas = list(rng.uniform(-0.5, 0.5, 3))
+        _, info = grad_kappa(net, X, kappas, TradeoffConfig())
+        act = LayerActivity.for_network(net)
+        rounding_batch(net.with_scales([float(np.exp(k)) for k in kappas]), X,
+                       activity=act)
+        assert info["l1_mean"] == [l1 / 20 for l1 in act.l1]
+        past_input = flops_sigma_delta(act) - act.l1[0] * net.dims[1]
+        assert info["comp_loss"] == pytest.approx(past_input / 20, rel=1e-12)
+        assert info["round_flops"] == pytest.approx(flops_rounding(act) / 20,
+                                                    rel=1e-12)
+
+
 class TestScaledForward:
     def test_ste_equals_rounding_executor(self):
         from sigmadelta.network import forward_rounding
         rng = np.random.default_rng(8)
         net = random_net(rng, [6, 5, 4], scale_range=(1.0, 1.0))
         kappas = list(rng.uniform(-1, 1, 2))
-        scaled = LogScales(kappas).apply(net)
+        scaled = net.with_scales([float(np.exp(k)) for k in kappas])
         for _ in range(10):
             x = rng.standard_normal(6)
             got = scaled_forward(net, x, kappas, "ste")
             want = forward_rounding(scaled, x)
             assert np.max(np.abs(got - want)) < 1e-9
-
-    def test_accepts_logscales_object(self):
-        rng = np.random.default_rng(9)
-        net = random_net(rng, [4, 3], scale_range=(1.0, 1.0))
-        x = rng.standard_normal(4)
-        ks = LogScales([0.5])
-        assert np.array_equal(scaled_forward(net, x, ks, "ste"),
-                              scaled_forward(net, x, [0.5], "ste"))
 
 
 class TestOptimize:
@@ -291,7 +280,7 @@ class TestOptimize:
             cfg = TradeoffConfig(lam=float(lam), eta=0.02, epochs=4)
             res = optimize(net, train, cfg, rng=np.random.default_rng([11, i]))
             act = LayerActivity.for_network(net)
-            rounding_batch(res.scales.apply(net), evalX, activity=act)
+            rounding_batch(net.with_scales(res.scales), evalX, activity=act)
             costs.append(flops_sigma_delta(act) / act.frames)
         inversions = sum(1 for a, b in zip(costs, costs[1:]) if b > a)
         assert inversions <= 1, costs
@@ -302,7 +291,7 @@ class TestOptimize:
         train = gen_random_stream(rng, 512, 100).frames
         # start fine (low error), then let a huge comp weight collapse the
         # scales: the error loss blows past 10x its initial value
-        init = LogScales.from_scales([100.0, 100.0, 100.0])
+        init = [100.0, 100.0, 100.0]
         cfg = TradeoffConfig(lam=1e-5, eta=0.05, epochs=50,
                              divergence_patience=10)
         with pytest.raises(DivergenceError) as exc:
@@ -321,3 +310,59 @@ class TestOptimize:
             assert step.error_loss >= 0
             assert step.comp_loss >= 0
             assert len(step.scales) == 3
+
+
+class TestOptimizeContract:
+    """optimize returns scales k, one per layer, in the form init takes."""
+
+    def problem(self, unitwise=False, epochs=1):
+        rng = np.random.default_rng(14)
+        net = random_net(rng, [6, 5, 4], scale_range=(1.0, 1.0))
+        X = rng.standard_normal((64, 6))
+        cfg = TradeoffConfig(lam=1e-3, eta=0.05, epochs=epochs, batch_size=16,
+                             unitwise=unitwise)
+        return net, X, cfg
+
+    def test_scales_feed_with_scales_and_init(self):
+        net, X, cfg = self.problem()
+        res = optimize(net, X, cfg, rng=np.random.default_rng(0))
+        assert all(type(k) is float for k in res.scales)
+        # the trace's last layerwise scales are the same exp(kappa)
+        assert res.scales == res.trace[-1].scales
+        scaled = net.with_scales(res.scales)
+        assert [l.scale for l in scaled.layers] == res.scales
+        again = optimize(net, X, TradeoffConfig(epochs=0),
+                         rng=np.random.default_rng(0), init=res.scales)
+        assert again.scales == pytest.approx(res.scales, rel=1e-15)
+        resumed = optimize(net, X, cfg, rng=np.random.default_rng(1),
+                           init=res.scales)
+        assert len(resumed.trace) == len(res.trace)
+
+    def test_unitwise_returns_vectors_over_each_layers_inputs(self):
+        net, X, cfg = self.problem(unitwise=True)
+        res = optimize(net, X, cfg, rng=np.random.default_rng(0))
+        assert [np.shape(k) for k in res.scales] == [(6,), (5,)]
+        assert all(np.all(k > 0) for k in res.scales)
+        scaled = net.with_scales(res.scales)
+        for layer, k in zip(scaled.layers, res.scales):
+            assert np.array_equal(layer.scale, k)
+        again = optimize(net, X, TradeoffConfig(epochs=0, unitwise=True),
+                         rng=np.random.default_rng(0), init=res.scales)
+        for a, b in zip(again.scales, res.scales):
+            assert a == pytest.approx(b, rel=1e-15)
+
+    @pytest.mark.parametrize("init", [
+        [0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [1.0],
+        [1.0, 1.0, 1.0], [np.ones(6), np.array([1.0, 1.0, 0.0, 1.0, 1.0])],
+        [np.ones(5), 1.0], [np.ones((1, 6)), 1.0]],
+        ids=["zero", "negative", "nan", "inf", "short", "long", "unit-zero",
+             "unit-wrong-width", "unit-2d"])
+    def test_refuses_bad_init_before_any_step(self, init, monkeypatch):
+        net, X, cfg = self.problem()
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(scale_opt, "grad_kappa", no_step)
+        with pytest.raises(ValueError, match="init"):
+            optimize(net, X, cfg, rng=np.random.default_rng(0), init=init)
