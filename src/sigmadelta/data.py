@@ -6,7 +6,6 @@ vectors).  Gzipped files are detected and handled transparently.
 """
 
 import gzip
-import json
 import struct
 from dataclasses import dataclass
 
@@ -29,15 +28,10 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class FrameDataset:
-    """An ordered set of equal-width frames with optional integer labels.
-
-    ordering records how the frames were arranged: 'original' as produced,
-    'temporal' after similarity reshuffling.
-    """
+    """An ordered set of equal-width frames with optional integer labels."""
 
     frames: np.ndarray
     labels: np.ndarray = None
-    ordering: str = "original"
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -47,8 +41,6 @@ class FrameDataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.frames.shape[0],):
                 raise ValueError("labels must align 1:1 with frames")
-        if self.ordering not in ("original", "temporal"):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
 
     def __len__(self):
         return self.frames.shape[0]
@@ -106,29 +98,22 @@ def load_idx(image_path, label_path=None):
     return FrameDataset(frames, labels)
 
 
-def save_idx(ds, image_path, label_path=None, sidecar_path=None, meta=None,
-             image_shape=None):
-    """Write a FrameDataset back to IDX containers.
+def save_idx(ds, image_path, label_path=None):
+    """Write a FrameDataset back to IDX containers, as square images.
 
     Frames must lie in [0, 1]; they are stored as ubyte (value * 255,
-    rounded), so only data on the 1/255 grid round-trips exactly.  An
-    optional JSON sidecar records generation parameters (seed, buffer
-    size, ...) next to the data.
+    rounded), so only data on the 1/255 grid round-trips exactly.  A frame
+    width that is not a perfect square raises ValueError.
     """
     frames = ds.frames
     if frames.size and (frames.min() < 0 or frames.max() > 1):
         raise ValueError("IDX export requires frame values in [0, 1]")
-    if image_shape is None:
-        side = int(round(frames.shape[1] ** 0.5))
-        if side * side != frames.shape[1]:
-            raise ValueError("frames are not square; pass image_shape")
-        image_shape = (side, side)
-    rows, cols = image_shape
-    if rows * cols != frames.shape[1]:
-        raise ValueError("image_shape does not match frame width")
+    side = int(round(frames.shape[1] ** 0.5))
+    if side * side != frames.shape[1]:
+        raise ValueError("frames are not square")
     pixels = np.round(frames * 255.0).astype(np.uint8)
     with open(image_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, len(ds), rows, cols))
+        f.write(struct.pack(">IIII", IMAGE_MAGIC, len(ds), side, side))
         f.write(pixels.tobytes())
     if label_path is not None:
         if ds.labels is None:
@@ -138,16 +123,9 @@ def save_idx(ds, image_path, label_path=None, sidecar_path=None, meta=None,
         with open(label_path, "wb") as f:
             f.write(struct.pack(">II", LABEL_MAGIC, len(ds)))
             f.write(ds.labels.astype(np.uint8).tobytes())
-    if sidecar_path is not None:
-        doc = {"count": len(ds), "width": int(frames.shape[1]),
-               "ordering": ds.ordering}
-        doc.update(meta or {})
-        with open(sidecar_path, "w") as f:
-            json.dump(doc, f, sort_keys=True, indent=2)
-            f.write("\n")
 
 
-def temporal_reshuffle(ds, buffer_size=1000, rng=None):
+def temporal_reshuffle(ds, buffer_size, rng):
     """Reorder frames so consecutive ones are similar, like video.
 
     The frames are first put in random order, then greedily re-sequenced:
@@ -191,7 +169,6 @@ def temporal_reshuffle(ds, buffer_size=1000, rng=None):
     if not np.all(np.isfinite(sq)):
         raise ValueError("cannot reshuffle frames that are not finite "
                          "or whose squared norm is not")
-    rng = rng if rng is not None else np.random.default_rng()
     n, d = frames.shape
     order = rng.permutation(n)
     # 4 * delta; infinite when (2M)^2 overflows, so every row is measured
@@ -221,7 +198,7 @@ def temporal_reshuffle(ds, buffer_size=1000, rng=None):
             m -= 1
             idx[w], cand[w], cand_sq[w] = idx[m], cand[m], cand_sq[m]
     labels = None if ds.labels is None else ds.labels[seq]
-    return FrameDataset(frames[seq], labels, ordering="temporal")
+    return FrameDataset(frames[seq], labels)
 
 
 def glorot_uniform(rng, d_in, d_out):

@@ -122,7 +122,10 @@ class LayerSpec:
             raise ValueError("layer parameters must be finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        k = np.asarray(self.scale, dtype=np.float64)
+        try:
+            k = np.asarray(self.scale, dtype=np.float64)
+        except TypeError:
+            raise ValueError(f"scale must be numeric, got {self.scale!r}")
         if k.ndim not in (0, 1) or (k.ndim == 1 and k.shape[0] != W.shape[0]):
             raise ValueError("scale must be a scalar or a vector of length d_in")
         if not np.all(np.isfinite(k)) or np.any(k <= 0):
@@ -542,15 +545,10 @@ def bake_scales(net):
     Returns a network computing the identical quantized function whose
     hidden scales are all 1.  The first layer's scale is kept as-is: it
     fixes the grid the raw input is snapped to, which cannot be moved into
-    the parameters without changing the function.  Requires homogeneous
-    hidden activations (relu or identity); a final softmax is untouched
-    since nothing is folded past it.
+    the parameters without changing the function.  NetworkSpec guarantees
+    the homogeneous hidden activations this needs (relu or identity); a
+    final softmax is untouched since nothing is folded past it.
     """
-    for layer in net.layers[:-1]:
-        if layer.activation not in ("relu", "identity"):
-            raise ValueError(
-                "baking requires homogeneous hidden activations, got "
-                f"{layer.activation!r}")
     baked = []
     n = len(net.layers)
     for i, layer in enumerate(net.layers):
@@ -627,6 +625,9 @@ def load_network(path):
         w = _decode_array(ld["weights"], (ld["d_in"], ld["d_out"]))
         b = _decode_array(ld["bias"], (ld["d_out"],))
         k = ld["scale"]
-        layers.append(LayerSpec(w, b, ld["activation"],
-                                np.asarray(k) if isinstance(k, list) else k))
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (k if isinstance(k, list) else [k])):
+            raise ValueError(f"{path}: layer {i} scale must be a number "
+                             "or a list of numbers")
+        layers.append(LayerSpec(w, b, ld["activation"], k))
     return NetworkSpec(layers)

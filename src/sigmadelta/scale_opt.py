@@ -55,16 +55,19 @@ class TradeoffConfig:
     divergence_patience: int = 100
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.epochs < 0:
+        # written so that NaN fails each comparison
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be nonnegative and finite")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if not self.epochs >= 0:
             raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
+        if not self.divergence_patience >= 1:
+            raise ValueError("divergence_patience must be >= 1")
 
     def resolve_distance(self, net):
         """The error distance: KL for softmax outputs, L2 otherwise."""
@@ -180,12 +183,9 @@ def _loss_gradient(distance, last_activation, Y, T):
     """dL/dU for the final layer, L averaged over the batch."""
     n = Y.shape[0]
     if distance == "kl":
-        if last_activation == "softmax":
-            # Fused KL/softmax gradient; the 1e-12 floor only guards the
-            # loss value, not this exact form.
-            return (Y - T) / n
-        g = -T / np.maximum(Y, _PROB_FLOOR) / n
-        return _through_activation(last_activation, g, Y)
+        # resolve_distance picks KL only for a softmax output: the fused
+        # gradient (the 1e-12 floor only guards the loss value)
+        return (Y - T) / n
     # l2: gradient of the norm, zero at exact agreement
     diff = Y - T
     norms = np.linalg.norm(diff, axis=1, keepdims=True)
@@ -194,13 +194,12 @@ def _loss_gradient(distance, last_activation, Y, T):
 
 
 def _through_activation(name, g, a):
-    if name == "identity":
-        return g
+    # relu or identity: NetworkSpec allows softmax only on the output, and
+    # _loss_gradient takes that through the fused KL gradient
     if name == "relu":
         # a = max(u, 0), so a > 0 exactly where u > 0
         return g * (a > 0)
-    # softmax Jacobian, rowwise
-    return a * (g - (g * a).sum(axis=1, keepdims=True))
+    return g
 
 
 def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):

@@ -92,10 +92,15 @@ def inputs(tmp_path_factory):
     ddir, net_path = make_digit_fixture(tmp, np.random.default_rng(11))
     header = {"format": "sigmadelta-network", "version": 1}
     layer = json.loads(net_path.read_text())["layers"][0]
-    del layer["weights"]
+    bad_layers = {"no_weights": {k: v for k, v in layer.items()
+                                 if k != "weights"},
+                  "scale_object": dict(layer, scale={}),
+                  "scale_string": dict(layer, scale="1.5"),
+                  "scale_boolean": dict(layer, scale=True)}
     docs = {"malformed": "not json", "json_list": "[1, 2]",
             "no_layers": json.dumps(header),
-            "no_weights": json.dumps(dict(header, layers=[layer]))}
+            **{name: json.dumps(dict(header, layers=[bad]))
+               for name, bad in bad_layers.items()}}
     paths = {"ddir": str(ddir), "net": str(net_path), "directory": str(ddir)}
     for name, text in docs.items():
         (tmp / f"{name}.json").write_text(text)
@@ -108,6 +113,9 @@ SMALL_RN = ["--n-random", "5", "--train-frames", "32", "--eval-frames", "16",
 
 REFUSED = {
     "random-net --eta 0": ["random-net", "--eta", "0"],
+    "random-net --eta nan": ["random-net", "--eta", "nan"],
+    "random-net --eta inf": ["random-net", "--eta", "inf"],
+    "random-net --lambda-list nan": ["random-net", "--lambda-list", "nan"],
     "random-net --n-random 0": ["random-net", "--n-random", "0"],
     "random-net --lambda-list=-1e-6": ["random-net", "--lambda-list=-1e-6"],
     "random-net --epochs=-1": ["random-net"] + SMALL_RN + ["--epochs=-1"],
@@ -121,6 +129,7 @@ REFUSED = {
     **{f"check-equivalence --net {name}": ["check-equivalence", "--net",
                                            f"{{{name}}}"]
        for name in ("malformed", "json_list", "no_layers", "no_weights",
+                    "scale_object", "scale_string", "scale_boolean",
                     "directory")},
     "train-mlp --epochs 0": ["train-mlp", "--mnist-dir", "{ddir}",
                              "--epochs", "0", "--dims", "64,24,10"],

@@ -1,5 +1,4 @@
 import gzip
-import json
 import shutil
 
 import numpy as np
@@ -24,14 +23,10 @@ class TestIdxIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = blob_dataset(rng)
-        save_idx(ds, tmp_path / "imgs", tmp_path / "labels",
-                 sidecar_path=tmp_path / "meta.json", meta={"seed": 0})
+        save_idx(ds, tmp_path / "imgs", tmp_path / "labels")
         loaded = load_idx(tmp_path / "imgs", tmp_path / "labels")
         assert np.array_equal(loaded.frames, ds.frames)
         assert np.array_equal(loaded.labels, ds.labels)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta["count"] == len(ds)
-        assert meta["seed"] == 0
 
     def test_gzip_transparent(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -67,6 +62,11 @@ class TestIdxIO:
         with pytest.raises(ValueError, match="count"):
             load_idx(tmp_path / "imgs", tmp_path / "labels5")
 
+    def test_non_square_frames_refused_on_save(self, tmp_path):
+        with pytest.raises(ValueError, match="square"):
+            save_idx(FrameDataset(np.zeros((2, 12))), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_range_checked_on_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_idx(FrameDataset(np.full((2, 4), 2.0)), tmp_path / "x")
@@ -86,7 +86,6 @@ class TestTemporalReshuffle:
         key = lambda frames: sorted(map(tuple, frames))
         assert key(out.frames) == key(ds.frames)
         assert sorted(out.labels) == sorted(ds.labels)
-        assert out.ordering == "temporal"
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(5)

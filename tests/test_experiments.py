@@ -200,6 +200,8 @@ class TestRandomNetExperiment:
         dict(n_random=0), dict(n_random=-2), dict(eta=0.0),
         dict(lambdas=(1e-6, -1e-6)), dict(epochs=-1), dict(batch_size=0),
         dict(surrogate="nope"), dict(train_frames=0), dict(eval_frames=0),
+        dict(eta=float("nan")), dict(eta=float("inf")),
+        dict(lambdas=(float("nan"),)), dict(lambdas=(float("inf"),)),
         dict(env="abc")], ids=str)
     def test_refused_value_writes_nothing(self, tmp_path, monkeypatch, kwargs):
         # every argument is checked before cloud.csv, the first output

@@ -1,9 +1,15 @@
 """Unused-import check for the package, its tests, its demos and the
-benchmark harness, standing in for a linter.
+benchmark harness, and a dead-helper check for the package, standing in
+for a linter.
 
 A module-level import is unused when its name appears nowhere else in the
 module.  Names listed in the module's __all__ (re-exports) and imports
 marked "# noqa: F401" on any of their lines are exempt.
+
+A helper is a module-level function or class of the package whose name
+starts with "_" (dunder names excepted).  It is dead when no module of the
+package names it, as a name or as an attribute, anywhere but its own
+definition.
 """
 
 import ast
@@ -60,3 +66,36 @@ def test_check_finds_an_unused_import(tmp_path):
                    "from math import pi\n__all__ = ['pi']\n"
                    "json.dumps(1)\n")
     assert unused_imports(mod) == ["mod.py:1: csv"]
+
+
+def dead_helpers(paths):
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    named = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+    return sorted(f"{path.name}:{node.lineno}: {node.name}"
+                  for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__")
+                  and node.name not in named)
+
+
+def test_no_dead_helpers():
+    assert dead_helpers(sorted(SRC.glob("*.py"))) == []
+
+
+def test_check_finds_a_dead_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
+        "class _Dead:\n    pass\n\n\ndef __getattr__(name):\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n\ndef _helper():\n    pass\n\n\n"
+        "a._used()\n_helper()\n")
+    assert dead_helpers([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py:5: _dead", "a.py:9: _Dead"]

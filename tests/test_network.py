@@ -48,6 +48,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu", np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("scale", [{}, object()], ids=["dict", "object"])
+    def test_unreadable_scale_refused(self, scale):
+        with pytest.raises(ValueError):
+            LayerSpec(np.eye(2), np.zeros(2), "relu", scale)
+
     def test_unit_scale_vector_length(self):
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu", np.ones(3))
@@ -453,10 +458,15 @@ class TestSerialization:
         lambda doc: dict(doc, layers=[{k: v for k, v in doc["layers"][0].items()
                                        if k != "scale"}]),
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], weights=5)]),
-        lambda doc: dict(doc, layers=[dict(doc["layers"][0], d_in="3")])],
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], d_in="3")]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale={})]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale="1.5")]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=True)]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=[1, "2", 3])])],
         ids=["json-list", "no-layers", "layers-not-a-list", "layer-not-a-dict",
              "layer-without-weights", "layer-without-scale", "weights-not-a-string",
-             "d_in-not-an-int"])
+             "d_in-not-an-int", "scale-an-object", "scale-a-string",
+             "scale-a-boolean", "scale-list-with-a-string"])
     def test_malformed_document_rejected(self, tmp_path, edit):
         path = tmp_path / "net.json"
         save_network(random_net(np.random.default_rng(29), [3, 2]), path)

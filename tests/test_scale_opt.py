@@ -67,7 +67,10 @@ class TestUpdateScales:
 class TestTradeoffConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-1e-6), dict(eta=0.0), dict(epochs=-1), dict(batch_size=0),
-        dict(batch_size=-3), dict(surrogate="nope")], ids=str)
+        dict(batch_size=-3), dict(surrogate="nope"), dict(lam=float("nan")),
+        dict(lam=float("inf")), dict(eta=float("nan")), dict(eta=float("inf")),
+        dict(divergence_patience=0), dict(divergence_patience=float("nan"))],
+        ids=str)
     def test_refuses(self, kwargs):
         with pytest.raises(ValueError):
             TradeoffConfig(**kwargs)
