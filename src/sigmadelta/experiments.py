@@ -198,10 +198,10 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
         err, kflops = _eval_rounding_point(net, scales, evalX, y_true)
         dominated = np.mean((cloud_pts[:, 0] <= err) & (cloud_pts[:, 1] <= kflops)
                             & ((cloud_pts[:, 0] < err) | (cloud_pts[:, 1] < kflops)))
-        endpoint_rows.append([lam, err, kflops, "ok"] + [float(s) for s in scales])
+        endpoint_rows.append([lam, err, kflops, "ok"] + scales)
         endpoints.append({"lambda": lam, "error": err, "kflops": kflops,
                           "dominated_fraction": float(dominated),
-                          "scales": [float(s) for s in scales],
+                          "scales": scales,
                           "diverged": False})
     _write_csv(os.path.join(out_dir, "trajectories.csv"),
                ["lambda", "step", "error", "kflops"], traj_rows)
@@ -260,7 +260,7 @@ def _evaluate_setting(net_k, setting, datasets, orig_row):
 
     rows = []
     entry = {"setting": setting,
-             "scales": [float(np.mean(s)) for s in net_k.scales],
+             "scales": net_k.scales,
              "round_kflops": round_flops / 1000.0,
              "round_err_test": round_err_test, "diverged": False}
     for ds_name, splits in datasets.items():

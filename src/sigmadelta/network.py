@@ -32,7 +32,9 @@ executors use the weights as given.
 import base64
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +100,11 @@ def _max_abs(a):
 GRID_BITS = 36
 
 
+# LayerSpec.grid: W/k and the bias on the grid, its step, and the headroom
+# (max|W/k|, max|b|, limit) of _check_events, limit = 2**53 steps
+_Grid = namedtuple("_Grid", "weights bias step headroom")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One affine layer: weights (d_in, d_out), bias (d_out,), activation,
@@ -144,41 +151,37 @@ class LayerSpec:
 
     def scale_column(self):
         """Scale broadcastable over the input axis (for row-scaling weights)."""
-        k = np.asarray(self.scale, dtype=np.float64)
-        return k if k.ndim == 0 else k[:, None]
+        return self.scale if np.ndim(self.scale) == 0 else self.scale[:, None]
+
+    @cached_property
+    def grid(self):
+        """The layer on its grid (GRID_BITS), built on first use and kept:
+        W/k, what an integer event of this layer multiplies into, and the
+        bias, both read-only multiples of the step, and the headroom the
+        sigma-delta executors refuse frames by (_check_events)."""
+        wk = self.weights / self.scale_column()
+        m = max(_max_abs(wk), _max_abs(self.bias))
+        # at least the smallest float, 2**-1074, or it would underflow
+        step = math.ldexp(1.0, max(
+            (math.ceil(math.log2(m)) if m else 0) - GRID_BITS, -1074))
+        # in place, and rounded in blocks of rows: one more W/k-sized
+        # array grew the heap, and a benchmark run's peak RSS by up to
+        # 9 MB on the 784-200-200-10 net
+        wk /= step
+        for i in range(0, len(wk), 64):
+            wk[i:i + 64] = round_half_away(wk[i:i + 64])
+        wk *= step
+        b = round_half_away(self.bias / step) * step
+        wk.flags.writeable = b.flags.writeable = False
+        # the weight bound is at least one step: a frame whose event L1 n
+        # has n * bound >= limit is refused, so n also stays an exact count
+        # (below 2**53) when a layer's weights are all zero
+        return _Grid(wk, b, step, (max(_max_abs(wk), step), _max_abs(b),
+                                   2.0 ** 53 * step))
 
     def scaled_weights(self):
-        """weights / k on the layer's grid (GRID_BITS): what an integer event
-        of this layer multiplies into.  Computed on first use, with the
-        grid's bias and step, and kept, read-only, on the layer."""
-        if "_grid" not in self.__dict__:
-            wk = self.weights / self.scale_column()
-            m = max(_max_abs(wk), _max_abs(self.bias))
-            # at least the smallest float, 2**-1074, or it would underflow
-            step = math.ldexp(1.0, max(
-                (math.ceil(math.log2(m)) if m else 0) - GRID_BITS, -1074))
-            # in place, and rounded in blocks of rows: one more W/k-sized
-            # array grew the heap, and a benchmark run's peak RSS by up to
-            # 9 MB on the 784-200-200-10 net
-            wk /= step
-            for i in range(0, len(wk), 64):
-                wk[i:i + 64] = round_half_away(wk[i:i + 64])
-            wk *= step
-            b = round_half_away(self.bias / step) * step
-            wk.flags.writeable = b.flags.writeable = False
-            object.__setattr__(self, "_grid", (wk, b, step))
-        return self._grid[0]
-
-    def grid_bias(self):
-        """The bias on the layer's grid: what the rounding and sigma-delta
-        executors add.  Read-only."""
-        self.scaled_weights()
-        return self._grid[1]
-
-    def grid_step(self):
-        """The layer's grid step, a power of two (GRID_BITS)."""
-        self.scaled_weights()
-        return self._grid[2]
+        """weights / k on the layer's grid: grid.weights."""
+        return self.grid.weights
 
     def with_scale(self, k):
         return LayerSpec(self.weights, self.bias, self.activation, k)
@@ -272,7 +275,7 @@ def _passes(net, X, snap):
     for layer in net.layers:
         if snap:
             s = round_half_away(a * layer.scale)
-            u = s @ layer.scaled_weights() + layer.grid_bias()
+            u = s @ layer.grid.weights + layer.grid.bias
         else:
             s = a
             u = a @ layer.weights + layer.bias
@@ -377,22 +380,12 @@ class TemporalDiffRuntime:
 DENSE_DELTA_SHARE = 3 / 8
 
 
-def _headroom(layer):
-    """(max|W/k|, max|b|, limit) of a layer on its grid, limit = 2**53 steps.
-    The weight bound is at least one step: a frame whose event L1 n has
-    n * bound >= limit is refused, so n also stays an exact count (below
-    2**53) when a layer's weights are all zero."""
-    step = layer.grid_step()
-    return (max(_max_abs(layer.scaled_weights()), step),
-            _max_abs(layer.grid_bias()), 2.0 ** 53 * step)
-
-
 def _layer_consts(net):
     """What the sigma-delta step reads of each layer: k, W/k, the
     activation, d_out, the changed-row count past which the dense delta
-    product runs, and the layer's _headroom."""
-    return [(l.scale, l.scaled_weights(), l.activation, l.d_out,
-             DENSE_DELTA_SHARE * l.d_in, _headroom(l)) for l in net.layers]
+    product runs, and the headroom of the layer's grid."""
+    return [(l.scale, l.grid.weights, l.activation, l.d_out,
+             DENSE_DELTA_SHARE * l.d_in, l.grid.headroom) for l in net.layers]
 
 
 def _check_events(l1, s_l1, headroom):
@@ -400,16 +393,17 @@ def _check_events(l1, s_l1, headroom):
     (largest) event L1 and s_l1 the (largest) L1 of the rounded input
     s = round(k*a).
 
-    With headroom (max|W/k|, max|b|, limit), both s_l1 * max|W/k| + max|b|
-    and l1 * max|W/k| must stay below the limit.  That keeps every
-    integral exact, by induction over frames: u starts at the bias, exact.
-    If u is exact before a frame, every partial sum of the frame's delta
-    product is a grid multiple below l1 * max|W/k|, so exact, and the new
-    integral, exactly s @ W/k + b, is a grid multiple below
-    s_l1 * max|W/k| + max|b|, so the one addition that forms it is exact
-    too.  The same two bounds cover every partial sum of the stateless
-    s @ W/k + b, and keep the event counts themselves exact integers below
-    2**53.  A NaN or infinite L1 fails the test too.
+    With the headroom (max|W/k|, max|b|, limit) of the layer's grid
+    (LayerSpec.grid, computed once per layer), both
+    s_l1 * max|W/k| + max|b| and l1 * max|W/k| must stay below the limit.
+    That keeps every integral exact, by induction over frames: u starts at
+    the bias, exact.  If u is exact before a frame, every partial sum of
+    the frame's delta product is a grid multiple below l1 * max|W/k|, so
+    exact, and the new integral, exactly s @ W/k + b, is a grid multiple
+    below s_l1 * max|W/k| + max|b|, so the one addition that forms it is
+    exact too.  The same two bounds cover every partial sum of the
+    stateless s @ W/k + b, and keep the event counts themselves exact
+    integers below 2**53.  A NaN or infinite L1 fails the test too.
     """
     w, b, limit = headroom
     if not (s_l1 * w + b < limit and l1 * w < limit):
@@ -434,11 +428,13 @@ class SigmaDeltaRuntime:
 
     A frame is refused (_check_events) unless, per layer,
     L1(round(k*a)) * max|W/k| + max|b| and L1(change) * max|W/k| stay below
-    the layer's limit, the rule sigma_delta_stream applies.  A step is
-    all-or-nothing: a misshapen frame is rejected before any work, a
-    non-finite one fails the first layer's check, and a step that raises
-    (a refused frame, or an activity that cannot record the frame) leaves
-    the state, frame count, ledger and activity as they were.
+    the layer's limit, the rule sigma_delta_stream applies; W/k, the bias
+    and these bounds are the layer's grid (LayerSpec.grid), read once at
+    construction.  A step is all-or-nothing: a misshapen frame is rejected
+    before any work, a non-finite one fails the first layer's check, and a
+    step that raises (a refused frame, or an activity that cannot record
+    the frame) leaves the state, frame count, ledger and activity as they
+    were.
     """
 
     def __init__(self, net):
@@ -448,7 +444,7 @@ class SigmaDeltaRuntime:
 
     def reset(self):
         self._prev = [np.zeros(l.d_in) for l in self.net.layers]
-        self._u = [l.grid_bias() for l in self.net.layers]
+        self._u = [l.grid.bias for l in self.net.layers]
         # per layer, an upper bound on L1(previous rounded input)
         self._bounds = [0.0] * len(self.net.layers)
         self.frames = 0
@@ -508,17 +504,17 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
     are the step's to the bit.
 
     A window is all-or-nothing: it is checked whole (_check_frames), and a
-    window with a frame the step would refuse (_check_events) raises
-    ValueError before anything is charged.
+    window with a frame the step would refuse (_check_events, against the
+    bounds each layer's grid computed once) raises ValueError before
+    anything is charged.
     """
     X = _check_frames(net, getattr(frames, "frames", frames))
     out = np.empty((X.shape[0], net.output_dim))
     l1 = np.empty((X.shape[0], len(net.layers)), dtype=np.int64)
-    headroom = [_headroom(l) for l in net.layers]
     prev = [np.zeros(l.d_in) for l in net.layers]
     for lo in range(0, X.shape[0], STREAM_CHUNK):
         rows = slice(lo, lo + STREAM_CHUNK)
-        for i, (_, s, a) in enumerate(_passes(net, X[rows], snap=True)):
+        for i, (layer, s, a) in enumerate(_passes(net, X[rows], snap=True)):
             # diff(s, prepend=prev[i]) without np.diff's concatenated copy;
             # only its row L1s are needed, so |d| and then |s| reuse it
             d = np.empty_like(s)
@@ -526,7 +522,7 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
             np.subtract(s[1:], s[:-1], out=d[1:])
             n = np.abs(d, out=d).sum(axis=1)
             s_l1 = np.abs(s, out=d).sum(axis=1).max()
-            _check_events(n.max(), s_l1, headroom[i])
+            _check_events(n.max(), s_l1, layer.grid.headroom)
             l1[rows, i] = n
             prev[i] = s[-1]
         out[rows] = a
@@ -552,14 +548,12 @@ def bake_scales(net):
     baked = []
     n = len(net.layers)
     for i, layer in enumerate(net.layers):
-        k_next = np.asarray(net.layers[i + 1].scale) if i + 1 < n else 1.0
+        k_next = net.layers[i + 1].scale if i + 1 < n else 1.0
         w = layer.scaled_weights() * k_next  # rows / k_i, columns * k_{i+1}
         b = layer.bias * k_next
         if i == 0:
-            k0 = np.asarray(layer.scale)
             baked.append(LayerSpec(w * layer.scale_column(), b,
-                                   layer.activation,
-                                   float(k0) if k0.ndim == 0 else k0))
+                                   layer.activation, layer.scale))
         else:
             baked.append(LayerSpec(w, b, layer.activation, 1.0))
     return NetworkSpec(baked)
@@ -579,7 +573,8 @@ def _encode_array(a):
 
 
 def _decode_array(s, shape):
-    if not isinstance(s, str) or not all(isinstance(n, int) for n in shape):
+    # type, not isinstance: a JSON true is a bool, and bool subclasses int
+    if not isinstance(s, str) or not all(type(n) is int for n in shape):
         raise ValueError("an array is a base64 string with integer dimensions")
     a = np.frombuffer(base64.b64decode(s), dtype="<f8").astype(np.float64)
     if a.size != int(np.prod(shape)):
@@ -595,12 +590,12 @@ def save_network(net, path):
         "layers": [],
     }
     for layer in net.layers:
-        k = np.asarray(layer.scale)
         doc["layers"].append({
             "d_in": layer.d_in,
             "d_out": layer.d_out,
             "activation": layer.activation,
-            "scale": float(k) if k.ndim == 0 else [float(v) for v in k],
+            # a float, or a float64 vector's list of floats
+            "scale": np.asarray(layer.scale).tolist(),
             "weights": _encode_array(layer.weights),
             "bias": _encode_array(layer.bias),
         })

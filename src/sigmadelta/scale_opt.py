@@ -51,7 +51,6 @@ class TradeoffConfig:
     epochs: int = 1
     batch_size: int = 32
     surrogate: str = "ste"
-    unitwise: bool = False
     divergence_patience: int = 100
 
     def __post_init__(self):
@@ -208,8 +207,10 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     Returns (grads, info).  The error term backpropagates through all
     higher layers with pass-through rounding; the computation term for a
     scale is its own layer's straight-through |k*a| times fan-out, weighted
-    by cfg.lam.  info carries the batch losses and actual (rounded) event
-    counts so callers can trace training without a second pass.
+    by cfg.lam.  Each layer's gradient has the shape of its kappa: a
+    float (layerwise), or a vector over the layer's inputs (unitwise).
+    info carries the batch losses and actual (rounded) event counts so
+    callers can trace training without a second pass.
     """
     if len(kappas) != len(net.layers):
         raise ValueError("need one kappa per layer")
@@ -241,13 +242,11 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
         comp_term = np.abs(Z[i])
         comp_term *= cfg.lam * dims[i + 1]
         comp_term /= n
-        if cfg.unitwise:
+        if np.ndim(kappas[i]):  # unitwise: one gradient per input
             gk = err_term.sum(axis=0) + comp_term.sum(axis=0)
-            finite = np.all(np.isfinite(gk))
         else:
             gk = float(err_term.sum() + comp_term.sum())
-            finite = math.isfinite(gk)
-        if not finite:
+        if not np.all(np.isfinite(gk)):
             raise ValueError(f"non-finite gradient at layer {i}")
         grads.append(gk)
         g = dR
@@ -257,13 +256,12 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     s_actual = (S if cfg.surrogate == "ste"
                 else [round_half_away(z) for z in Z])
     l1_mean = [float(np.abs(s).sum() / n) for s in s_actual]
-    comp = sum(l1 * dims[i + 1] for i, l1 in enumerate(l1_mean) if i >= 1)
-    round_flops = (sum(l1 * dims[i + 1] for i, l1 in enumerate(l1_mean))
-                   + sum(dims[1:]))
+    # every layer's events times fan-out: what the computation term prices
+    comp = sum(l1 * dims[i + 1] for i, l1 in enumerate(l1_mean))
     info = {
         "error_loss": _distance(Y, T, distance),
         "comp_loss": comp,
-        "round_flops": round_flops,
+        "round_flops": comp + sum(dims[1:]),
         "l1_mean": l1_mean,
     }
     return grads, info
@@ -333,21 +331,18 @@ def optimize(net, frames, cfg, rng, init=None):
     """Minibatch-optimize the layer scales on a set of input frames.
 
     The reference output for every sample comes from the original dense
-    network.  Scales start at k=1, or at init: positive scales, one per
-    layer, a float or (unitwise) a vector over the layer's inputs.  Returns
-    the final scales k in that same form, ready for net.with_scales or a
-    later init, and a per-step trace of (error, computation).  Raises
-    DivergenceError if the error loss exceeds 10x (_DIVERGENCE_FACTOR) its
-    initial value for divergence_patience consecutive steps.
+    network.  Scales start at k=1, a float per layer, or at init: positive
+    scales, one per layer, each a float or (unitwise) a vector over its
+    layer's inputs.  Returns the final scales k in that same form, ready
+    for net.with_scales or a later init, and a per-step trace of (error,
+    computation).  Raises DivergenceError if the error loss exceeds 10x
+    (_DIVERGENCE_FACTOR) its initial value for divergence_patience
+    consecutive steps.
     """
     X = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("frames must be a nonempty (n, d) array")
-    if init is None:
-        kappas = ([np.zeros(l.d_in) for l in net.layers] if cfg.unitwise
-                  else [0.0] * len(net.layers))
-    else:
-        kappas = _log_scales(net, init)
+    kappas = [0.0] * len(net.layers) if init is None else _log_scales(net, init)
 
     y_true = dense_batch(net, X)
 

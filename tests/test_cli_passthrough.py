@@ -96,7 +96,9 @@ def inputs(tmp_path_factory):
                                  if k != "weights"},
                   "scale_object": dict(layer, scale={}),
                   "scale_string": dict(layer, scale="1.5"),
-                  "scale_boolean": dict(layer, scale=True)}
+                  "scale_boolean": dict(layer, scale=True),
+                  # one input row of d_out weights: only d_in's type is wrong
+                  "d_in_boolean": dict(layer, d_in=True, weights=layer["bias"])}
     docs = {"malformed": "not json", "json_list": "[1, 2]",
             "no_layers": json.dumps(header),
             **{name: json.dumps(dict(header, layers=[bad]))
@@ -130,7 +132,7 @@ REFUSED = {
                                            f"{{{name}}}"]
        for name in ("malformed", "json_list", "no_layers", "no_weights",
                     "scale_object", "scale_string", "scale_boolean",
-                    "directory")},
+                    "d_in_boolean", "directory")},
     "train-mlp --epochs 0": ["train-mlp", "--mnist-dir", "{ddir}",
                              "--epochs", "0", "--dims", "64,24,10"],
     "mnist --limit-test -5": ["mnist", "--mnist-dir", "{ddir}", "--net",

@@ -71,29 +71,29 @@ class TestSnapToGrid:
             for layer in net.layers:
                 m = max(np.abs(layer.weights / layer.scale_column()).max(),
                         np.abs(layer.bias).max())
-                step = layer.grid_step()
+                step = layer.grid.step
                 assert step == 2.0 ** (np.ceil(np.log2(m)) - GRID_BITS)
-                for a in (layer.scaled_weights(), layer.grid_bias()):
+                for a in (layer.scaled_weights(), layer.grid.bias):
                     assert np.array_equal(a / step, np.round(a / step))
                     assert not a.flags.writeable
 
     def test_snapping_is_nearest_and_idempotent(self):
         rng = np.random.default_rng(1)
         for layer in random_net(rng, [6, 5, 3]).layers:
-            step = layer.grid_step()
+            step = layer.grid.step
             assert (np.max(np.abs(layer.scaled_weights()
                                   - layer.weights / layer.scale_column()))
                     <= step / 2)
-            assert np.max(np.abs(layer.grid_bias() - layer.bias)) <= step / 2
+            assert np.max(np.abs(layer.grid.bias - layer.bias)) <= step / 2
             again = LayerSpec(layer.scaled_weights() * layer.scale_column(),
-                              layer.grid_bias(), layer.activation, layer.scale)
+                              layer.grid.bias, layer.activation, layer.scale)
             assert np.array_equal(again.scaled_weights(), layer.scaled_weights())
-            assert np.array_equal(again.grid_bias(), layer.grid_bias())
+            assert np.array_equal(again.grid.bias, layer.grid.bias)
 
     def test_tiny_parameters_keep_a_positive_step(self):
         # 2**(ceil(log2 m) - GRID_BITS) would underflow to 0 here
         layer = LayerSpec(np.full((3, 2), 1e-320), np.zeros(2), "identity")
-        assert layer.grid_step() == 2.0 ** -1074
+        assert layer.grid.step == 2.0 ** -1074
         assert np.array_equal(layer.scaled_weights(), layer.weights)
         net = NetworkSpec([layer])
         X = np.array([[1.0, 2.0, 3.0], [4.0, 0.0, 1.0]])
@@ -113,13 +113,50 @@ class TestSnapToGrid:
         net = random_net(np.random.default_rng(2), [6, 5, 3],
                          scale_range=(1.0, 1.0))
         rescaled = net.with_scales([2.0 ** 10, 1.0])
-        assert (rescaled.layers[0].grid_step()
-                < net.layers[0].grid_step())
+        assert (rescaled.layers[0].grid.step
+                < net.layers[0].grid.step)
         for raw, layer in zip(net.layers, rescaled.layers):
             assert layer.scaled_weights() is not raw.scaled_weights()
             assert (np.max(np.abs(layer.scaled_weights()
                                   - layer.weights / layer.scale_column()))
-                    <= layer.grid_step() / 2)
+                    <= layer.grid.step / 2)
+
+
+class TestGridRecord:
+    """LayerSpec.grid is built once per layer; the executors read its
+    headroom instead of scanning W/k and the bias again."""
+
+    def test_headroom_is_a_fresh_scan_of_the_snapped_arrays(self):
+        layers = [l for net in stream_nets(np.random.default_rng(0))
+                  for l in net.layers]
+        layers += [LayerSpec(np.zeros((3, 2)), np.zeros(2), "identity"),
+                   LayerSpec(np.full((3, 2), 1e-320), np.zeros(2), "identity"),
+                   LayerSpec(np.zeros((0, 3)), np.ones(3), "identity")]
+        assert layers[-3].grid.step == 2.0 ** -GRID_BITS
+        assert layers[-2].grid.step == 2.0 ** -1074
+        for layer in layers:
+            grid = layer.grid
+            assert layer.grid is grid
+            assert grid.weights is layer.scaled_weights()
+            # the weight bound is floored at one step
+            assert grid.headroom == (
+                max(np.abs(grid.weights).max(initial=0.0), grid.step),
+                np.abs(grid.bias).max(initial=0.0), 2.0 ** 53 * grid.step)
+
+    def test_second_stream_computes_no_bounds(self, monkeypatch):
+        net = stream_nets(np.random.default_rng(3))[0]
+        X = stream(np.random.default_rng(4), 30, net.input_dim, 0.9)
+        want = experiments.sigma_delta_stream(net, X)
+        calls, max_abs = [], network._max_abs
+
+        def counted(a):
+            calls.append(a.shape)
+            return max_abs(a)
+
+        monkeypatch.setattr(network, "_max_abs", counted)
+        assert np.array_equal(experiments.sigma_delta_stream(net, X), want)
+        assert np.array_equal(SigmaDeltaRuntime(net).step(X[0]), want[0])
+        assert calls == []
 
 
 class TestBitIdentity:
@@ -286,7 +323,7 @@ class TestHeadroom:
         # each frame fits alone, but the change between them is twice
         # either frame's events: only the event-count bound sees it
         net = NetworkSpec(huge_frame_net().layers[:1])
-        w, _, limit = network._headroom(net.layers[0])
+        w, _, limit = net.layers[0].grid.headroom
         x = np.zeros(20)
         x[3] = 0.3 * limit / w
         for frame in (x, -x):
@@ -304,7 +341,7 @@ class TestHeadroom:
         # below the layer's limit, though max|u| after x plus the change's
         # bound does not
         net = NetworkSpec(huge_frame_net().layers[:1])
-        w, _, limit = network._headroom(net.layers[0])
+        w, _, limit = net.layers[0].grid.headroom
         x = np.zeros(20)
         x[3] = 0.2 * limit / w
         X = np.stack([x, -x])

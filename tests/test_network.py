@@ -64,7 +64,7 @@ class TestSpecValidation:
         wk = layer.scaled_weights()
         assert layer.scaled_weights() is wk
         # W/k rounded to the nearest multiple of the layer's grid step
-        step = layer.grid_step()
+        step = layer.grid.step
         assert np.array_equal(
             wk, round_half_away(layer.weights / layer.scale[:, None] / step)
             * step)
@@ -73,7 +73,7 @@ class TestSpecValidation:
             wk[0, 0] = 1.0
         rescaled = layer.with_scale(2.0)
         assert rescaled.scaled_weights() is not wk
-        step = rescaled.grid_step()
+        step = rescaled.grid.step
         assert np.array_equal(rescaled.scaled_weights(),
                               round_half_away(layer.weights / 2.0 / step) * step)
 
@@ -337,7 +337,7 @@ class TestSigmaDeltaNet:
         rt = SigmaDeltaRuntime(net)
         rt.step(rng.standard_normal(5))
         rt.reset()
-        assert np.array_equal(rt._u[0], net.layers[0].grid_bias())
+        assert np.array_equal(rt._u[0], net.layers[0].grid.bias)
         assert rt.frames == 0
 
 
@@ -462,11 +462,14 @@ class TestSerialization:
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale={})]),
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale="1.5")]),
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=True)]),
-        lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=[1, "2", 3])])],
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=[1, "2", 3])]),
+        # the bias's 2 floats fill a 1x2 weight matrix: only the type is wrong
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], d_in=True,
+                                           weights=doc["layers"][0]["bias"])])],
         ids=["json-list", "no-layers", "layers-not-a-list", "layer-not-a-dict",
              "layer-without-weights", "layer-without-scale", "weights-not-a-string",
              "d_in-not-an-int", "scale-an-object", "scale-a-string",
-             "scale-a-boolean", "scale-list-with-a-string"])
+             "scale-a-boolean", "scale-list-with-a-string", "d_in-a-boolean"])
     def test_malformed_document_rejected(self, tmp_path, edit):
         path = tmp_path / "net.json"
         save_network(random_net(np.random.default_rng(29), [3, 2]), path)

@@ -169,7 +169,7 @@ class TestGradKappa:
     def test_unitwise_gradient_shapes(self):
         rng = np.random.default_rng(7)
         net = random_net(rng, [5, 4, 3], scale_range=(1.0, 1.0))
-        cfg = TradeoffConfig(lam=1e-4, unitwise=True)
+        cfg = TradeoffConfig(lam=1e-4)
         kappas = [np.zeros(l.d_in) for l in net.layers]
         g, _ = grad_kappa(net, rng.standard_normal((3, 5)), kappas, cfg)
         assert [np.shape(v) for v in g] == [(5,), (4,)]
@@ -179,7 +179,7 @@ class TestGradKappa:
         net = random_net(rng, [4, 5, 3], scale_range=(1.0, 1.0))
         x = rng.standard_normal((3, 4))
         kappas = [rng.uniform(-0.4, 0.4, 4), rng.uniform(-0.4, 0.4, 5)]
-        cfg = TradeoffConfig(lam=0.0, surrogate="noise", unitwise=True)
+        cfg = TradeoffConfig(lam=0.0, surrogate="noise")
         seed = 999
         g, _ = grad_kappa(net, x, kappas, cfg, rng=np.random.default_rng(seed))
         y_true = dense_batch(net, x)
@@ -200,8 +200,9 @@ class TestGradKappa:
 
 
 class TestTracedCompLoss:
-    """info["comp_loss"]: the rounded events of every layer past the first,
-    times that layer's fan-out, per frame of the batch."""
+    """info["comp_loss"]: the rounded events of every layer, the first
+    included, times that layer's fan-out, per frame of the batch: the sum
+    whose straight-through form grad_kappa's computation term prices."""
 
     def net(self):
         # the hidden activation is the bias alone: (2.4, -1.0, 1.6)
@@ -213,13 +214,14 @@ class TestTracedCompLoss:
         x = np.array([[3.0, -4.0], [1.0, 0.0]])  # input events 7 and 1
         _, info = grad_kappa(self.net(), x, [0.0, 0.0], TradeoffConfig())
         assert info["l1_mean"] == [4.0, 5.0]  # round(2.4, -1, 1.6) = (2, -1, 2)
-        assert info["comp_loss"] == 5.0 * 2  # the input layer's 4 * 3 is left out
+        assert info["comp_loss"] == 4.0 * 3 + 5.0 * 2 == 22.0
         assert info["round_flops"] == 4.0 * 3 + 5.0 * 2 + (3 + 2)
 
     def test_follows_the_layer_scale(self):
         x = np.array([[3.0, -4.0]])
         _, info = grad_kappa(self.net(), x, [0.0, np.log(2.0)], TradeoffConfig())
-        assert info["comp_loss"] == 10.0 * 2  # round(4.8, -2, 3.2) = (5, -2, 3)
+        # input events 7; round(4.8, -2, 3.2) = (5, -2, 3)
+        assert info["comp_loss"] == 7.0 * 3 + 10.0 * 2 == 41.0
 
     def test_matches_sigma_delta_formula_past_input(self):
         # the same events as the rounding executor's record, per frame
@@ -232,8 +234,8 @@ class TestTracedCompLoss:
         rounding_batch(net.with_scales([float(np.exp(k)) for k in kappas]), X,
                        activity=act)
         assert info["l1_mean"] == [l1 / 20 for l1 in act.l1]
-        past_input = flops_sigma_delta(act) - act.l1[0] * net.dims[1]
-        assert info["comp_loss"] == pytest.approx(past_input / 20, rel=1e-12)
+        assert info["comp_loss"] == pytest.approx(flops_sigma_delta(act) / 20,
+                                                  rel=1e-12)
         assert info["round_flops"] == pytest.approx(flops_rounding(act) / 20,
                                                     rel=1e-12)
 
@@ -318,12 +320,11 @@ class TestOptimize:
 class TestOptimizeContract:
     """optimize returns scales k, one per layer, in the form init takes."""
 
-    def problem(self, unitwise=False, epochs=1):
+    def problem(self, epochs=1):
         rng = np.random.default_rng(14)
         net = random_net(rng, [6, 5, 4], scale_range=(1.0, 1.0))
         X = rng.standard_normal((64, 6))
-        cfg = TradeoffConfig(lam=1e-3, eta=0.05, epochs=epochs, batch_size=16,
-                             unitwise=unitwise)
+        cfg = TradeoffConfig(lam=1e-3, eta=0.05, epochs=epochs, batch_size=16)
         return net, X, cfg
 
     def test_scales_feed_with_scales_and_init(self):
@@ -342,17 +343,27 @@ class TestOptimizeContract:
         assert len(resumed.trace) == len(res.trace)
 
     def test_unitwise_returns_vectors_over_each_layers_inputs(self):
-        net, X, cfg = self.problem(unitwise=True)
-        res = optimize(net, X, cfg, rng=np.random.default_rng(0))
+        net, X, cfg = self.problem()
+        res = optimize(net, X, cfg, rng=np.random.default_rng(0),
+                       init=[np.ones(6), np.ones(5)])
         assert [np.shape(k) for k in res.scales] == [(6,), (5,)]
         assert all(np.all(k > 0) for k in res.scales)
         scaled = net.with_scales(res.scales)
         for layer, k in zip(scaled.layers, res.scales):
             assert np.array_equal(layer.scale, k)
-        again = optimize(net, X, TradeoffConfig(epochs=0, unitwise=True),
+        again = optimize(net, X, TradeoffConfig(epochs=0),
                          rng=np.random.default_rng(0), init=res.scales)
         for a, b in zip(again.scales, res.scales):
             assert a == pytest.approx(b, rel=1e-15)
+
+    def test_each_layer_keeps_the_form_of_its_init(self):
+        # a vector scale steps unit by unit; a float one stays a float
+        net, X, cfg = self.problem()
+        res = optimize(net, X, cfg, rng=np.random.default_rng(0),
+                       init=[np.ones(6), 1.0])
+        unit, layer = res.scales
+        assert unit.shape == (6,) and len(np.unique(unit)) > 1
+        assert type(layer) is float
 
     @pytest.mark.parametrize("init", [
         [0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [1.0],
