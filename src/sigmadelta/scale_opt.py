@@ -14,6 +14,7 @@ computation-reduction runs.
 """
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,10 @@ __all__ = [
 
 SURROGATES = ("ste", "noise", "identity")
 _PROB_FLOOR = 1e-12
-# optimize's divergence bound: this many times the first batch's error loss
+# optimize's divergence bound: this many times the median of the first
+# _BASELINE_STEPS positive batch error losses
 _DIVERGENCE_FACTOR = 10.0
+_BASELINE_STEPS = 5
 
 
 @dataclass
@@ -126,17 +129,19 @@ def _forward_trace(net, X, kappas, surrogate, rng):
     backward pass needs.  A, Z, S and R have one entry per layer input (S
     is the surrogate's stand-in for round(z), R is S/k).  Pre-activations
     are not kept: the activations' backward passes need only their
-    outputs.
+    outputs.  The last value is R0 W0, the first layer's product before
+    its bias, which grad_kappa's first-layer error term reuses.
 
     This keeps its own loop rather than network._passes: k changes every
     step, so it divides the batch, (s/k) @ W.  Installing the new scales in
-    the network for its cached W/k rebuilds W/k on every call, and made
-    this forward ~50% slower (~660 -> ~1010 us on a 32-frame batch of a
-    784-200-200-10 net, one BLAS thread, 2 vCPUs)."""
+    the network (with_scales, then rounding_batch) rebuilds and snaps W/k
+    to the grid on every call: ~1.9 ms against this loop's ~0.6 ms on a
+    32-frame batch of a 784-200-200-10 net at scales (8, 4, 4), one BLAS
+    thread, 2 vCPUs."""
     if surrogate == "noise" and rng is None:
         raise ValueError("the noise surrogate needs an rng")
     A, Z, S, R = [X], [], [], []
-    a = X
+    a, rw0 = X, None
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         for layer, kappa in zip(net.layers, kappas):
             k = np.exp(kappa)
@@ -148,8 +153,10 @@ def _forward_trace(net, X, kappas, surrogate, rng):
             else:  # identity: quantization disabled
                 s = z
             r = s / k
-            a = r @ layer.weights
-            a += layer.bias
+            rw = r @ layer.weights
+            if rw0 is None:  # R0 W0, before the bias: grad_kappa's first layer
+                rw0 = rw
+            a = rw + layer.bias
             if layer.activation == "relu":
                 np.maximum(a, 0.0, out=a)
             else:
@@ -163,7 +170,7 @@ def _forward_trace(net, X, kappas, surrogate, rng):
             scales = [float(np.max(np.exp(np.asarray(k)))) for k in kappas]
         raise ValueError(
             f"non-finite activations in scaled forward (max scales {scales})")
-    return A, Z, S, R
+    return A, Z, S, R, rw0
 
 
 def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
@@ -201,7 +208,7 @@ def _through_activation(name, g, a):
     return g
 
 
-def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
+def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None, xw0=None):
     """Gradient of the tradeoff objective with respect to each layer's kappa.
 
     Returns (grads, info).  The error term backpropagates through all
@@ -211,6 +218,16 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     float (layerwise), or a vector over the layer's inputs (unitwise).
     info carries the batch losses and actual (rounded) event counts so
     callers can trace training without a second pass.
+
+    No layer lies below the first, so a layerwise first kappa takes its
+    error term without the backward product dU0 W0^T: every surrogate
+    gives dR/dkappa = A - R, and sum((X - R0) * (dU0 W0^T)) equals
+    sum(dU0 * (X W0 - R0 W0)), where the forward already formed R0 W0.
+    xw0 is X W0, x @ net.layers[0].weights, as y_true is the reference
+    output: data a caller that steps the same frames many times computes
+    once (optimize does).  Left out, it is computed here, at the cost of
+    the product it saves.  A unitwise first kappa needs dR0 itself and
+    ignores xw0.
     """
     if len(kappas) != len(net.layers):
         raise ValueError("need one kappa per layer")
@@ -222,9 +239,14 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
     dims = net.dims
     if T.shape != (n, dims[-1]):
         raise ValueError("outputs must have matching shapes")
+    if xw0 is not None:
+        xw0 = np.atleast_2d(np.asarray(xw0, dtype=np.float64))
+        if xw0.shape != (n, dims[1]):
+            raise ValueError("xw0 must have one row of the first layer's "
+                             "outputs per frame")
     distance = cfg.resolve_distance(net)
 
-    A, Z, S, R = _forward_trace(net, X, kappas, cfg.surrogate, rng)
+    A, Z, S, R, rw0 = _forward_trace(net, X, kappas, cfg.surrogate, rng)
     Y = A[-1]
 
     grads = []
@@ -235,21 +257,24 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None):
             dU = _loss_gradient(distance, layer.activation, Y, T)
         else:
             dU = _through_activation(layer.activation, g, A[i + 1])
-        dR = dU @ layer.weights.T
-        # R[i] is not needed again: it becomes the error term
-        err_term = np.subtract(A[i], R[i], out=R[i])
-        err_term *= dR
-        comp_term = np.abs(Z[i])
-        comp_term *= cfg.lam * dims[i + 1]
-        comp_term /= n
-        if np.ndim(kappas[i]):  # unitwise: one gradient per input
-            gk = err_term.sum(axis=0) + comp_term.sum(axis=0)
+        axis = 0 if np.ndim(kappas[i]) else None  # unitwise: one per input
+        if i or axis == 0:
+            g = dU @ layer.weights.T
+            # R[i] is not needed again: it becomes the error term
+            err_term = np.subtract(A[i], R[i], out=R[i])
+            err_term *= g
         else:
-            gk = float(err_term.sum() + comp_term.sum())
+            if xw0 is None:
+                xw0 = X @ layer.weights
+            err_term = np.subtract(xw0, rw0, out=rw0)
+            err_term *= dU
+        comp = np.abs(Z[i]).sum(axis=axis) * (cfg.lam * dims[i + 1] / n)
+        gk = err_term.sum(axis=axis) + comp
+        if axis is None:
+            gk = float(gk)
         if not np.all(np.isfinite(gk)):
             raise ValueError(f"non-finite gradient at layer {i}")
         grads.append(gk)
-        g = dR
     grads.reverse()
 
     # the ste forward already rounded z; the other surrogates did not
@@ -336,8 +361,14 @@ def optimize(net, frames, cfg, rng, init=None):
     layer's inputs.  Returns the final scales k in that same form, ready
     for net.with_scales or a later init, and a per-step trace of (error,
     computation).  Raises DivergenceError if the error loss exceeds 10x
-    (_DIVERGENCE_FACTOR) its initial value for divergence_patience
-    consecutive steps.
+    (_DIVERGENCE_FACTOR) its baseline for divergence_patience consecutive
+    steps.  The baseline is the median of the first five (_BASELINE_STEPS)
+    positive batch errors, so one lucky first batch does not set it; a
+    batch error of exactly 0 neither sets it nor diverges.
+
+    Besides the reference outputs, it keeps X W0, the frames times the
+    first layer's weights, for grad_kappa's xw0: one (n, d1) array, about
+    a quarter of the frames' size for a 784-200 first layer.
     """
     X = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -345,24 +376,29 @@ def optimize(net, frames, cfg, rng, init=None):
     kappas = [0.0] * len(net.layers) if init is None else _log_scales(net, init)
 
     y_true = dense_batch(net, X)
+    xw0 = X @ net.layers[0].weights  # grad_kappa's first-layer product, once
 
     trace = []
     step = 0
-    initial_error = None
+    baseline = []  # the first positive batch errors, see _BASELINE_STEPS
     streak_start = None
     for epoch in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for lo in range(0, X.shape[0], cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             grads, info = grad_kappa(net, X[idx], kappas, cfg, rng=rng,
-                                     y_true=y_true[idx])
+                                     y_true=y_true[idx], xw0=xw0[idx])
             kappas = update_scales(kappas, grads, cfg.eta)
-            if initial_error is None:
-                initial_error = max(info["error_loss"], 1e-30)
-            diverging = info["error_loss"] > _DIVERGENCE_FACTOR * initial_error
+            error = info["error_loss"]
+            # an error of exactly 0 (frames already on the grid) gives no
+            # scale to measure a blow-up against
+            if error > 0 and len(baseline) < _BASELINE_STEPS:
+                baseline.append(error)
+            diverging = (bool(baseline) and
+                         error > _DIVERGENCE_FACTOR * statistics.median(baseline))
             trace.append(TraceStep(
                 step=step, epoch=epoch,
-                error_loss=info["error_loss"],
+                error_loss=error,
                 comp_loss=info["comp_loss"],
                 round_flops=info["round_flops"],
                 scales=[float(np.mean(np.exp(np.asarray(k)))) for k in kappas],

@@ -8,11 +8,15 @@ break tier-1 first.  Nothing under perfbench/ is run, only imported.
 
 import importlib
 import inspect
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sigmadelta.experiments as experiments
 import sigmadelta.network as network
+import sigmadelta.scale_opt as scale_opt
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +46,22 @@ def test_pinned_accounting_keywords():
     for fn in (network.SigmaDeltaRuntime.step, experiments.sigma_delta_stream):
         params = inspect.signature(fn).parameters
         assert "ledger" in params and "activity" in params
+
+
+def test_optimize_steps_through_the_module_global(monkeypatch):
+    # the tracer's scale_opt.grad_kappa metrics wrap this name: one call
+    # per minibatch of every epoch
+    real, calls = scale_opt.grad_kappa, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scale_opt, "grad_kappa", counting)
+    rng = np.random.default_rng(0)
+    net = network.NetworkSpec([
+        network.LayerSpec(rng.standard_normal((6, 5)), np.zeros(5), "relu"),
+        network.LayerSpec(rng.standard_normal((5, 4)), np.zeros(4), "identity")])
+    cfg = scale_opt.TradeoffConfig(lam=1e-3, epochs=3, batch_size=16)
+    scale_opt.optimize(net, rng.standard_normal((50, 6)), cfg, rng=rng)
+    assert len(calls) == cfg.epochs * math.ceil(50 / cfg.batch_size)

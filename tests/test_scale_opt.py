@@ -199,6 +199,81 @@ class TestGradKappa:
                 assert abs(g[li][j] - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
+def _full_backward(net, X, kappas, cfg, rng=None):
+    """grad_kappa's gradients with the backward product dU W^T formed at
+    every layer, the first included: the form its first-layer shortcut
+    rewrites as sum(dU0 * (X W0 - R0 W0))."""
+    T = dense_batch(net, X)
+    A, Z, _, R, _ = scale_opt._forward_trace(net, X, kappas, cfg.surrogate, rng)
+    n, dims, g, grads = X.shape[0], net.dims, None, []
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        if i == len(net.layers) - 1:
+            dU = scale_opt._loss_gradient(cfg.resolve_distance(net),
+                                          layer.activation, A[-1], T)
+        else:
+            dU = scale_opt._through_activation(layer.activation, g, A[i + 1])
+        g = dU @ layer.weights.T
+        err_term = (A[i] - R[i]) * g
+        comp_term = np.abs(Z[i]) * (cfg.lam * dims[i + 1]) / n
+        axis = 0 if np.ndim(kappas[i]) else None
+        grads.append(err_term.sum(axis=axis) + comp_term.sum(axis=axis))
+    return grads[::-1]
+
+
+class TestFirstLayerShortcut:
+    """The first layer's error term without its backward product, given
+    X W0 (xw0) or not, is the full-backward gradient."""
+
+    @pytest.mark.parametrize("surrogate", scale_opt.SURROGATES)
+    @pytest.mark.parametrize("output", ["identity", "softmax"])  # L2, KL
+    @pytest.mark.parametrize("first", ["layerwise", "unitwise"])
+    def test_equals_full_backward(self, surrogate, output, first):
+        rng = np.random.default_rng(16)
+        net = random_net(rng, [6, 5, 4], acts=["relu", output],
+                         scale_range=(1.0, 1.0))
+        X = 3.0 * rng.standard_normal((20, 6))
+        k0 = (rng.uniform(-0.5, 0.5, 6) if first == "unitwise"
+              else float(rng.uniform(-0.5, 0.5)))
+        kappas = [k0, float(rng.uniform(-0.5, 0.5))]
+        cfg = TradeoffConfig(lam=1e-2, surrogate=surrogate)
+        want = _full_backward(net, X, kappas, cfg, np.random.default_rng(7))
+        for xw0 in (None, X @ net.layers[0].weights):
+            got, _ = grad_kappa(net, X, kappas, cfg,
+                                rng=np.random.default_rng(7), xw0=xw0)
+            assert [np.shape(g) for g in got] == [np.shape(k) for k in kappas]
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-12)
+
+    def test_refuses_misshapen_xw0(self):
+        rng = np.random.default_rng(16)
+        net = random_net(rng, [6, 5, 4], scale_range=(1.0, 1.0))
+        X = rng.standard_normal((4, 6))
+        with pytest.raises(ValueError, match="xw0"):
+            grad_kappa(net, X, [0.0, 0.0], TradeoffConfig(),
+                       xw0=(X @ net.layers[0].weights)[:3])
+
+    @pytest.mark.parametrize("surrogate", ["ste", "noise"])
+    def test_optimize_equals_a_hand_loop(self, surrogate):
+        # optimize's precomputed X W0 rows give the public grad_kappa's steps
+        rng = np.random.default_rng(17)
+        net = random_net(rng, [6, 5, 4], scale_range=(1.0, 1.0))
+        X = rng.standard_normal((40, 6))
+        cfg = TradeoffConfig(lam=1e-3, eta=0.05, epochs=3, batch_size=16,
+                             surrogate=surrogate)
+        res = optimize(net, X, cfg, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        kappas = [0.0, 0.0]
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(X))
+            for lo in range(0, len(X), cfg.batch_size):
+                grads, _ = grad_kappa(net, X[order[lo:lo + cfg.batch_size]],
+                                      kappas, cfg, rng=rng)
+                kappas = update_scales(kappas, grads, cfg.eta)
+        assert res.scales == pytest.approx([float(np.exp(k)) for k in kappas],
+                                           rel=1e-12)
+
+
 class TestTracedCompLoss:
     """info["comp_loss"]: the rounded events of every layer, the first
     included, times that layer's fan-out, per frame of the batch: the sum
@@ -303,6 +378,20 @@ class TestOptimize:
             optimize(net, train, cfg, rng=np.random.default_rng(3), init=init)
         assert len(exc.value.trace) >= 10
         assert exc.value.trace[-1].diverging
+
+    def test_zero_first_error_sets_no_baseline(self):
+        # k = 1 puts integer frames on the grid, so the first batch's error
+        # is exactly 0; the steps after it move k off 1 and raise the error
+        # to ~0.01, which is the tradeoff at work, not divergence
+        rng = np.random.default_rng(0)
+        net = NetworkSpec([LayerSpec(np.eye(3), np.zeros(3), "identity")])
+        X = rng.integers(-3, 4, (64, 3)).astype(np.float64)
+        cfg = TradeoffConfig(lam=1e-3, eta=0.05, epochs=2, batch_size=8,
+                             divergence_patience=3)
+        res = optimize(net, X, cfg, rng=np.random.default_rng(0))
+        assert res.trace[0].error_loss == 0.0
+        assert len(res.trace) == 16
+        assert not any(step.diverging for step in res.trace)
 
     def test_trace_records_losses_and_scales(self):
         rng = np.random.default_rng(13)
