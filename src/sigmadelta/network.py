@@ -108,16 +108,14 @@ _Grid = namedtuple("_Grid", "weights bias step headroom")
 @dataclass(frozen=True)
 class LayerSpec:
     """One affine layer: weights (d_in, d_out), bias (d_out,), activation,
-    and the scale k at which this layer's *input* is discretized.
-
-    k may be a positive scalar (layerwise) or a positive vector of length
-    d_in (unitwise).
+    and the scale k at which this layer's *input* is discretized: one
+    positive number, kept as a Python float.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: str = "relu"
-    scale: object = 1.0
+    scale: float = 1.0
 
     def __post_init__(self):
         W = np.asarray(self.weights, dtype=np.float64)
@@ -133,13 +131,13 @@ class LayerSpec:
             k = np.asarray(self.scale, dtype=np.float64)
         except TypeError:
             raise ValueError(f"scale must be numeric, got {self.scale!r}")
-        if k.ndim not in (0, 1) or (k.ndim == 1 and k.shape[0] != W.shape[0]):
-            raise ValueError("scale must be a scalar or a vector of length d_in")
-        if not np.all(np.isfinite(k)) or np.any(k <= 0):
+        if k.ndim:
+            raise ValueError(f"scale must be one number, got shape {k.shape}")
+        if not 0 < k < math.inf:  # false for NaN too
             raise ValueError("scale must be positive and finite")
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "scale", float(k) if k.ndim == 0 else k)
+        object.__setattr__(self, "scale", float(k))
 
     @property
     def d_in(self):
@@ -149,17 +147,13 @@ class LayerSpec:
     def d_out(self):
         return self.weights.shape[1]
 
-    def scale_column(self):
-        """Scale broadcastable over the input axis (for row-scaling weights)."""
-        return self.scale if np.ndim(self.scale) == 0 else self.scale[:, None]
-
     @cached_property
     def grid(self):
         """The layer on its grid (GRID_BITS), built on first use and kept:
         W/k, what an integer event of this layer multiplies into, and the
         bias, both read-only multiples of the step, and the headroom the
         sigma-delta executors refuse frames by (_check_events)."""
-        wk = self.weights / self.scale_column()
+        wk = self.weights / self.scale
         m = max(_max_abs(wk), _max_abs(self.bias))
         # at least the smallest float, 2**-1074, or it would underflow
         step = math.ldexp(1.0, max(
@@ -552,7 +546,7 @@ def bake_scales(net):
         w = layer.scaled_weights() * k_next  # rows / k_i, columns * k_{i+1}
         b = layer.bias * k_next
         if i == 0:
-            baked.append(LayerSpec(w * layer.scale_column(), b,
+            baked.append(LayerSpec(w * layer.scale, b,
                                    layer.activation, layer.scale))
         else:
             baked.append(LayerSpec(w, b, layer.activation, 1.0))
@@ -594,8 +588,7 @@ def save_network(net, path):
             "d_in": layer.d_in,
             "d_out": layer.d_out,
             "activation": layer.activation,
-            # a float, or a float64 vector's list of floats
-            "scale": np.asarray(layer.scale).tolist(),
+            "scale": layer.scale,
             "weights": _encode_array(layer.weights),
             "bias": _encode_array(layer.bias),
         })
@@ -620,9 +613,7 @@ def load_network(path):
         w = _decode_array(ld["weights"], (ld["d_in"], ld["d_out"]))
         b = _decode_array(ld["bias"], (ld["d_out"],))
         k = ld["scale"]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in (k if isinstance(k, list) else [k])):
-            raise ValueError(f"{path}: layer {i} scale must be a number "
-                             "or a list of numbers")
+        if type(k) not in (int, float):  # not a list, nor a JSON true
+            raise ValueError(f"{path}: layer {i} scale must be a number")
         layers.append(LayerSpec(w, b, ld["activation"], k))
     return NetworkSpec(layers)

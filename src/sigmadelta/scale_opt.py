@@ -126,10 +126,11 @@ def _as_batch(net, x):
 
 def _forward_trace(net, X, kappas, surrogate, rng):
     """Run the scaled quantized forward on a batch, keeping everything the
-    backward pass needs.  A, Z, S and R have one entry per layer input (S
-    is the surrogate's stand-in for round(z), R is S/k).  Pre-activations
-    are not kept: the activations' backward passes need only their
-    outputs.  The last value is R0 W0, the first layer's product before
+    backward pass needs.  kappas holds one number, log k, per layer;
+    anything else is refused with ValueError.  A, Z, S and R have one
+    entry per layer input (S is the surrogate's stand-in for round(z), R
+    is S/k).  Pre-activations are not kept: the activations' backward
+    passes need only their outputs.  The last value is R0 W0, the first layer's product before
     its bias, which grad_kappa's first-layer error term reuses.
 
     This keeps its own loop rather than network._passes: k changes every
@@ -138,6 +139,8 @@ def _forward_trace(net, X, kappas, surrogate, rng):
     to the grid on every call: ~1.9 ms against this loop's ~0.6 ms on a
     32-frame batch of a 784-200-200-10 net at scales (8, 4, 4), one BLAS
     thread, 2 vCPUs."""
+    if len(kappas) != len(net.layers) or any(np.ndim(k) for k in kappas):
+        raise ValueError("need one number, log k, per layer")
     if surrogate == "noise" and rng is None:
         raise ValueError("the noise surrogate needs an rng")
     A, Z, S, R = [X], [], [], []
@@ -167,9 +170,9 @@ def _forward_trace(net, X, kappas, surrogate, rng):
             A.append(a)
     if not np.all(np.isfinite(A[-1])):
         with np.errstate(over="ignore"):
-            scales = [float(np.max(np.exp(np.asarray(k)))) for k in kappas]
+            scales = [float(np.exp(k)) for k in kappas]
         raise ValueError(
-            f"non-finite activations in scaled forward (max scales {scales})")
+            f"non-finite activations in scaled forward (scales {scales})")
     return A, Z, S, R, rw0
 
 
@@ -214,23 +217,20 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None, xw0=None):
     Returns (grads, info).  The error term backpropagates through all
     higher layers with pass-through rounding; the computation term for a
     scale is its own layer's straight-through |k*a| times fan-out, weighted
-    by cfg.lam.  Each layer's gradient has the shape of its kappa: a
-    float (layerwise), or a vector over the layer's inputs (unitwise).
-    info carries the batch losses and actual (rounded) event counts so
-    callers can trace training without a second pass.
+    by cfg.lam.  kappas holds one number per layer (anything else is
+    refused with ValueError), and each layer's gradient is a float.  info
+    carries the batch losses and actual (rounded) event counts so callers
+    can trace training without a second pass.
 
-    No layer lies below the first, so a layerwise first kappa takes its
-    error term without the backward product dU0 W0^T: every surrogate
-    gives dR/dkappa = A - R, and sum((X - R0) * (dU0 W0^T)) equals
+    No layer lies below the first, so the first kappa takes its error term
+    without the backward product dU0 W0^T: every surrogate gives
+    dR/dkappa = A - R, and sum((X - R0) * (dU0 W0^T)) equals
     sum(dU0 * (X W0 - R0 W0)), where the forward already formed R0 W0.
     xw0 is X W0, x @ net.layers[0].weights, as y_true is the reference
     output: data a caller that steps the same frames many times computes
     once (optimize does).  Left out, it is computed here, at the cost of
-    the product it saves.  A unitwise first kappa needs dR0 itself and
-    ignores xw0.
+    the product it saves.
     """
-    if len(kappas) != len(net.layers):
-        raise ValueError("need one kappa per layer")
     X, _ = _as_batch(net, x)
     n = X.shape[0]
     if y_true is None:
@@ -257,8 +257,7 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None, xw0=None):
             dU = _loss_gradient(distance, layer.activation, Y, T)
         else:
             dU = _through_activation(layer.activation, g, A[i + 1])
-        axis = 0 if np.ndim(kappas[i]) else None  # unitwise: one per input
-        if i or axis == 0:
+        if i:
             g = dU @ layer.weights.T
             # R[i] is not needed again: it becomes the error term
             err_term = np.subtract(A[i], R[i], out=R[i])
@@ -268,11 +267,9 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None, xw0=None):
                 xw0 = X @ layer.weights
             err_term = np.subtract(xw0, rw0, out=rw0)
             err_term *= dU
-        comp = np.abs(Z[i]).sum(axis=axis) * (cfg.lam * dims[i + 1] / n)
-        gk = err_term.sum(axis=axis) + comp
-        if axis is None:
-            gk = float(gk)
-        if not np.all(np.isfinite(gk)):
+        comp = np.abs(Z[i]).sum() * (cfg.lam * dims[i + 1] / n)
+        gk = float(err_term.sum() + comp)
+        if not math.isfinite(gk):
             raise ValueError(f"non-finite gradient at layer {i}")
         grads.append(gk)
     grads.reverse()
@@ -330,14 +327,13 @@ def _log_scales(net, init):
         raise ValueError(f"init needs one scale per layer ({len(net.layers)}), "
                          f"got {len(init)}")
     kappas = []
-    for i, (k, layer) in enumerate(zip(init, net.layers)):
+    for i, k in enumerate(init):
         k = np.asarray(k, dtype=np.float64)
-        if k.ndim and k.shape != (layer.d_in,):
-            raise ValueError(f"init scale at layer {i} must be a float or a "
-                             f"vector of its {layer.d_in} inputs")
-        if not np.all(np.isfinite(k) & (k > 0)):
+        if k.ndim:
+            raise ValueError(f"init scale at layer {i} must be one number")
+        if not 0 < k < math.inf:  # false for NaN too
             raise ValueError(f"init scale at layer {i} must be positive and finite")
-        kappas.append(np.log(k) if k.ndim else float(np.log(k)))
+        kappas.append(float(np.log(k)))
     return kappas
 
 
@@ -356,15 +352,14 @@ def optimize(net, frames, cfg, rng, init=None):
     """Minibatch-optimize the layer scales on a set of input frames.
 
     The reference output for every sample comes from the original dense
-    network.  Scales start at k=1, a float per layer, or at init: positive
-    scales, one per layer, each a float or (unitwise) a vector over its
-    layer's inputs.  Returns the final scales k in that same form, ready
-    for net.with_scales or a later init, and a per-step trace of (error,
-    computation).  Raises DivergenceError if the error loss exceeds 10x
-    (_DIVERGENCE_FACTOR) its baseline for divergence_patience consecutive
-    steps.  The baseline is the median of the first five (_BASELINE_STEPS)
-    positive batch errors, so one lucky first batch does not set it; a
-    batch error of exactly 0 neither sets it nor diverges.
+    network.  Scales start at k=1 for every layer, or at init: one
+    positive number per layer.  Returns the final scales k, a float per
+    layer, ready for net.with_scales or a later init, and a per-step trace
+    of (error, computation).  Raises DivergenceError if the error loss
+    exceeds 10x (_DIVERGENCE_FACTOR) its baseline for divergence_patience
+    consecutive steps.  The baseline is the median of the first five
+    (_BASELINE_STEPS) positive batch errors, so one lucky first batch does
+    not set it; a batch error of exactly 0 neither sets it nor diverges.
 
     Besides the reference outputs, it keeps X W0, the frames times the
     first layer's weights, for grad_kappa's xw0: one (n, d1) array, about
@@ -401,7 +396,7 @@ def optimize(net, frames, cfg, rng, init=None):
                 error_loss=error,
                 comp_loss=info["comp_loss"],
                 round_flops=info["round_flops"],
-                scales=[float(np.mean(np.exp(np.asarray(k)))) for k in kappas],
+                scales=[float(np.exp(k)) for k in kappas],
                 diverging=diverging))
             if diverging:
                 if streak_start is None:
@@ -411,5 +406,5 @@ def optimize(net, frames, cfg, rng, init=None):
             else:
                 streak_start = None
             step += 1
-    scales = [np.exp(k) if np.ndim(k) else float(np.exp(k)) for k in kappas]
-    return OptimizeResult(scales=scales, trace=trace)
+    return OptimizeResult(scales=[float(np.exp(k)) for k in kappas],
+                          trace=trace)

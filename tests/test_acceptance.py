@@ -110,9 +110,7 @@ def _equivalence_suite():
         for i in range(depth):
             W = rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i])
             b = rng.standard_normal(dims[i + 1]) * 0.1
-            k = rng.uniform(0.5, 2.0, dims[i]) if depth == 4 and i == 0 \
-                else float(rng.uniform(0.3, 3.0))
-            layers.append(LayerSpec(W, b, acts[i], k))
+            layers.append(LayerSpec(W, b, acts[i], float(rng.uniform(0.3, 3.0))))
         net = NetworkSpec(layers)
         frames = gen_random_stream(rng, 500, dims[0], smoothness=0.6).frames
         cases.append((net, frames))

@@ -97,6 +97,8 @@ def inputs(tmp_path_factory):
                   "scale_object": dict(layer, scale={}),
                   "scale_string": dict(layer, scale="1.5"),
                   "scale_boolean": dict(layer, scale=True),
+                  # one scale per input: layers have one scale each
+                  "scale_list": dict(layer, scale=[1.0] * layer["d_in"]),
                   # one input row of d_out weights: only d_in's type is wrong
                   "d_in_boolean": dict(layer, d_in=True, weights=layer["bias"])}
     docs = {"malformed": "not json", "json_list": "[1, 2]",
@@ -132,7 +134,7 @@ REFUSED = {
                                            f"{{{name}}}"]
        for name in ("malformed", "json_list", "no_layers", "no_weights",
                     "scale_object", "scale_string", "scale_boolean",
-                    "d_in_boolean", "directory")},
+                    "scale_list", "d_in_boolean", "directory")},
     "train-mlp --epochs 0": ["train-mlp", "--mnist-dir", "{ddir}",
                              "--epochs", "0", "--dims", "64,24,10"],
     "mnist --limit-test -5": ["mnist", "--mnist-dir", "{ddir}", "--net",

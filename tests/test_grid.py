@@ -18,12 +18,11 @@ from tests.test_network import random_net
 
 
 def stream_nets(rng):
-    """A layerwise relu/identity net and a unitwise net ending in softmax."""
-    layerwise = random_net(rng, [12, 9, 7, 4], scale_range=(0.5, 4.0))
-    unitwise = random_net(rng, [10, 8, 6], acts=["relu", "softmax"])
-    unitwise = unitwise.with_scales([rng.uniform(0.5, 4.0, 10),
-                                     rng.uniform(0.5, 4.0, 8)])
-    return [layerwise, unitwise]
+    """A relu/identity net and a net ending in softmax, each with its own
+    scale per layer."""
+    return [random_net(rng, [12, 9, 7, 4], scale_range=(0.5, 4.0)),
+            random_net(rng, [10, 8, 6], acts=["relu", "softmax"],
+                       scale_range=(0.5, 4.0))]
 
 
 def stream(rng, n, d, smoothness):
@@ -69,7 +68,7 @@ class TestSnapToGrid:
     def test_scaled_weights_and_bias_on_the_grid(self):
         for net in stream_nets(np.random.default_rng(0)):
             for layer in net.layers:
-                m = max(np.abs(layer.weights / layer.scale_column()).max(),
+                m = max(np.abs(layer.weights / layer.scale).max(),
                         np.abs(layer.bias).max())
                 step = layer.grid.step
                 assert step == 2.0 ** (np.ceil(np.log2(m)) - GRID_BITS)
@@ -82,10 +81,10 @@ class TestSnapToGrid:
         for layer in random_net(rng, [6, 5, 3]).layers:
             step = layer.grid.step
             assert (np.max(np.abs(layer.scaled_weights()
-                                  - layer.weights / layer.scale_column()))
+                                  - layer.weights / layer.scale))
                     <= step / 2)
             assert np.max(np.abs(layer.grid.bias - layer.bias)) <= step / 2
-            again = LayerSpec(layer.scaled_weights() * layer.scale_column(),
+            again = LayerSpec(layer.scaled_weights() * layer.scale,
                               layer.grid.bias, layer.activation, layer.scale)
             assert np.array_equal(again.scaled_weights(), layer.scaled_weights())
             assert np.array_equal(again.grid.bias, layer.grid.bias)
@@ -118,7 +117,7 @@ class TestSnapToGrid:
         for raw, layer in zip(net.layers, rescaled.layers):
             assert layer.scaled_weights() is not raw.scaled_weights()
             assert (np.max(np.abs(layer.scaled_weights()
-                                  - layer.weights / layer.scale_column()))
+                                  - layer.weights / layer.scale))
                     <= layer.grid.step / 2)
 
 

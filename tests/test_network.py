@@ -46,28 +46,42 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu", 0.0)
         with pytest.raises(ValueError):
-            LayerSpec(np.eye(2), np.zeros(2), "relu", np.array([1.0, -1.0]))
+            LayerSpec(np.eye(2), np.zeros(2), "relu", -1.0)
+        with pytest.raises(ValueError):
+            LayerSpec(np.eye(2), np.zeros(2), "relu", np.nan)
 
     @pytest.mark.parametrize("scale", [{}, object()], ids=["dict", "object"])
     def test_unreadable_scale_refused(self, scale):
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu", scale)
 
-    def test_unit_scale_vector_length(self):
-        with pytest.raises(ValueError):
-            LayerSpec(np.eye(2), np.zeros(2), "relu", np.ones(3))
+    @pytest.mark.parametrize("scale", [np.ones(2), [1.0, 2.0], np.ones(3),
+                                       np.ones(1), np.ones((1, 1))],
+                             ids=["d_in", "list", "wrong-length", "one",
+                                  "2-d"])
+    def test_vector_scale_refused(self, scale):
+        # one scale per layer: a vector over the inputs is not one
+        with pytest.raises(ValueError, match="one number"):
+            LayerSpec(np.eye(2), np.zeros(2), "relu", scale)
+
+    @pytest.mark.parametrize("scale", [2, np.float64(0.75), np.array(1.5),
+                                       np.float32(0.5)],
+                             ids=["int", "float64", "0-d", "float32"])
+    def test_scale_is_a_python_float(self, scale):
+        layer = LayerSpec(np.eye(2), np.zeros(2), "relu", scale)
+        assert type(layer.scale) is float and layer.scale == float(scale)
+        assert type(layer.with_scale(scale).scale) is float
 
     def test_scaled_weights_computed_once_read_only(self):
         rng = np.random.default_rng(2)
         layer = LayerSpec(rng.standard_normal((4, 3)), np.zeros(3), "relu",
-                          rng.uniform(0.5, 2.0, size=4))
+                          float(rng.uniform(0.5, 2.0)))
         wk = layer.scaled_weights()
         assert layer.scaled_weights() is wk
         # W/k rounded to the nearest multiple of the layer's grid step
         step = layer.grid.step
         assert np.array_equal(
-            wk, round_half_away(layer.weights / layer.scale[:, None] / step)
-            * step)
+            wk, round_half_away(layer.weights / layer.scale / step) * step)
         assert not wk.flags.writeable
         with pytest.raises(ValueError):
             wk[0, 0] = 1.0
@@ -381,21 +395,6 @@ class TestBakeScales:
             yb = rt_b.step(x)
             assert np.max(np.abs(ya - yb)) < 1e-6
 
-    def test_per_unit_scales(self):
-        rng = np.random.default_rng(24)
-        layers = []
-        dims = [6, 5, 4]
-        for i, act in enumerate(["relu", "identity"]):
-            W = rng.standard_normal((dims[i], dims[i + 1]))
-            k = rng.uniform(0.5, 2.0, size=dims[i])
-            layers.append(LayerSpec(W, rng.standard_normal(dims[i + 1]), act, k))
-        net = NetworkSpec(layers)
-        baked = bake_scales(net)
-        for _ in range(20):
-            x = rng.standard_normal(6)
-            assert np.max(np.abs(forward_rounding(baked, x)
-                                 - forward_rounding(net, x))) < 1e-9
-
     def test_softmax_output_allowed(self):
         rng = np.random.default_rng(25)
         net = random_net(rng, [6, 5, 4], acts=["relu", "softmax"],
@@ -427,20 +426,24 @@ class TestSerialization:
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
             assert a.activation == b.activation
-            assert np.array_equal(np.asarray(a.scale), np.asarray(b.scale))
+            assert type(b.scale) is float and b.scale == a.scale
+            # the same grid, so the same rounding bits
+            assert np.array_equal(a.grid.weights, b.grid.weights)
+            assert np.array_equal(a.grid.bias, b.grid.bias)
         x = rng.standard_normal(6)
         assert np.array_equal(forward_original(net, x),
                               forward_original(loaded, x))
+        assert np.array_equal(forward_rounding(net, x),
+                              forward_rounding(loaded, x))
 
-    def test_per_unit_scale_round_trip(self, tmp_path):
-        rng = np.random.default_rng(28)
-        k = rng.uniform(0.5, 2.0, size=4)
-        net = NetworkSpec([LayerSpec(rng.standard_normal((4, 3)),
-                                     np.zeros(3), "identity", k)])
+    def test_integer_scale_loads_as_a_float(self, tmp_path):
         path = tmp_path / "net.json"
-        save_network(net, path)
-        loaded = load_network(path)
-        assert np.array_equal(np.asarray(loaded.layers[0].scale), k)
+        save_network(random_net(np.random.default_rng(28), [3, 2]), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["scale"] = 3
+        path.write_text(json.dumps(doc))
+        scale = load_network(path).layers[0].scale
+        assert type(scale) is float and scale == 3.0
 
     def test_bad_file_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -463,13 +466,16 @@ class TestSerialization:
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale="1.5")]),
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=True)]),
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], scale=[1, "2", 3])]),
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0],
+                                           scale=[1.5] * doc["layers"][0]["d_in"])]),
         # the bias's 2 floats fill a 1x2 weight matrix: only the type is wrong
         lambda doc: dict(doc, layers=[dict(doc["layers"][0], d_in=True,
                                            weights=doc["layers"][0]["bias"])])],
         ids=["json-list", "no-layers", "layers-not-a-list", "layer-not-a-dict",
              "layer-without-weights", "layer-without-scale", "weights-not-a-string",
              "d_in-not-an-int", "scale-an-object", "scale-a-string",
-             "scale-a-boolean", "scale-list-with-a-string", "d_in-a-boolean"])
+             "scale-a-boolean", "scale-list-with-a-string", "scale-a-list",
+             "d_in-a-boolean"])
     def test_malformed_document_rejected(self, tmp_path, edit):
         path = tmp_path / "net.json"
         save_network(random_net(np.random.default_rng(29), [3, 2]), path)
