@@ -63,7 +63,7 @@ def train_mlp(images, labels, dims=(784, 200, 200, 10), rng=None, epochs=50,
 
     def make_net():
         acts = ["relu"] * (len(Ws) - 1) + ["softmax"]
-        return NetworkSpec([LayerSpec(W.copy(), b.copy(), a)
+        return NetworkSpec([LayerSpec(W, b, a)
                             for W, b, a in zip(Ws, bs, acts)])
 
     history = []

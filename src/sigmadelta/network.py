@@ -27,11 +27,18 @@ GRID_BITS), where every sum below the layer's limit is exact.  The
 sigma-delta executors refuse a frame whose sums could pass it, so the
 sigma-delta network equals the rounding network bit for bit.  The dense
 executors use the weights as given.
+
+Each layer holds its weights, its bias and its grid's W/k as read-only
+copies at a 64-byte boundary, one weight-sized copy per layer built from a
+caller's arrays; a layer that only changes the scale shares them.  So
+every executor multiplies aligned matrices, and no caller's array can move
+a layer's parameters after it is built.
 """
 
 import base64
 import json
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,11 +112,43 @@ GRID_BITS = 36
 _Grid = namedtuple("_Grid", "weights bias step headroom")
 
 
+def _aligned(shape):
+    """An uninitialized float64 C array whose data starts at a 64-byte
+    boundary.  numpy's allocations are only 16-byte aligned, and a GEMV
+    v @ W on a 784x200 W off a 64-byte boundary took about twice as long
+    (one OpenBLAS thread), so a pass's time followed where the heap put W.
+    """
+    n = math.prod(shape) * 8
+    buf = np.empty(n + 64, dtype=np.uint8)
+    lo = -buf.ctypes.data % 64
+    return buf[lo:lo + n].view(np.float64).reshape(shape)
+
+
+# the arrays _owned made, held weakly by id: a layer built from one shares it.
+# It decides only whether memory is shared, never what a layer computes.
+_OWNED = weakref.WeakValueDictionary()
+
+
+def _owned(a):
+    """A read-only, 64-byte-aligned copy of the float64 array a, or a itself
+    if it is already one: no caller holds a writable view of it."""
+    if _OWNED.get(id(a)) is a:
+        return a
+    out = _aligned(a.shape)
+    np.copyto(out, a)
+    out.flags.writeable = False
+    _OWNED[id(out)] = out
+    return out
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One affine layer: weights (d_in, d_out), bias (d_out,), activation,
     and the scale k at which this layer's *input* is discretized: one
     positive number, kept as a Python float.
+
+    weights and bias are the layer's own read-only, 64-byte-aligned float64
+    copies (_owned), which with_scale shares.
     """
 
     weights: np.ndarray
@@ -127,16 +166,15 @@ class LayerSpec:
             raise ValueError("layer parameters must be finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        try:
-            k = np.asarray(self.scale, dtype=np.float64)
-        except TypeError:
+        k = np.asarray(self.scale)
+        if k.dtype.kind not in "iuf":  # a bool, a string or an object
             raise ValueError(f"scale must be numeric, got {self.scale!r}")
         if k.ndim:
             raise ValueError(f"scale must be one number, got shape {k.shape}")
         if not 0 < k < math.inf:  # false for NaN too
             raise ValueError("scale must be positive and finite")
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "weights", _owned(W))
+        object.__setattr__(self, "bias", _owned(b))
         object.__setattr__(self, "scale", float(k))
 
     @property
@@ -153,7 +191,8 @@ class LayerSpec:
         W/k, what an integer event of this layer multiplies into, and the
         bias, both read-only multiples of the step, and the headroom the
         sigma-delta executors refuse frames by (_check_events)."""
-        wk = self.weights / self.scale
+        wk = np.divide(self.weights, self.scale,
+                       out=_aligned(self.weights.shape))
         m = max(_max_abs(wk), _max_abs(self.bias))
         # at least the smallest float, 2**-1074, or it would underflow
         step = math.ldexp(1.0, max(
@@ -178,6 +217,7 @@ class LayerSpec:
         return self.grid.weights
 
     def with_scale(self, k):
+        """This layer at scale k; it shares the weights and bias."""
         return LayerSpec(self.weights, self.bias, self.activation, k)
 
 
@@ -344,7 +384,7 @@ class TemporalDiffRuntime:
 
     def reset(self):
         self._prev = [np.zeros(l.d_in) for l in self.net.layers]
-        self._u = [l.bias.copy() for l in self.net.layers]
+        self._u = [l.bias for l in self.net.layers]  # read-only: u is replaced
 
     def step(self, x):
         # a copy: the frame is kept as the first layer's previous input
@@ -361,17 +401,18 @@ class TemporalDiffRuntime:
 # A layer adds the full delta product d @ W/k when more than this share of
 # its input rows changed, and otherwise gathers the changed rows of W/k
 # first.  Both are exact on the layer's grid; this only picks the faster.
-# Gather + product against the dense product, in us, with one BLAS
-# thread (OpenBLAS 0.3.31, 2 vCPUs), at 10% / 1/3 / 3/8 / 50% / 100% of rows:
-#   784x200   12 / 25 / 26 / 38 / 108   dense ~32
-#   200x200    5 /  9 / 10 / 12 /  21   dense ~6
-#   200x10   3.6 /3.9 /3.8 /4.0 / 5.0   dense ~3
-# The gather wins on the wide first layer up to ~45% and the dense product
-# on the 200-row layers from ~15%, by at most a few us there.  3/8 keeps the
-# first layer of a smooth stream (~32% of rows changed, ~35% at the 90th
-# percentile of frames) on the gather; at 1/4 it went dense and the step
-# slowed ~7%.
-DENSE_DELTA_SHARE = 3 / 8
+# Gather + product against the dense product, in us, on the 64-byte-aligned
+# W/k (LayerSpec.grid), warm in cache, with one BLAS thread (OpenBLAS
+# 0.3.31, 2 vCPUs), at 10% / 20% / 1/4 / 1/3 / 50% / 100% of rows:
+#   784x200  6.5 / 12.5 / 14 / 18 / 28 / 95   dense ~13
+#   200x200  3.1 /  5.3 /  6 /  8 /  9 / 17   dense ~4.5
+#   200x10   1.7 /  1.8 /1.8 /1.9 /2.2 /3.3   dense ~1.4
+# Cold, with an 8 MB pass between calls, the 784x200 gather crossed the
+# dense product (~60 us) near 1/4.  The gather wins on the two wide layers
+# below ~1/5; on 200x10 the dense product wins at every share, by under
+# 1 us.  (Before W/k was aligned, the dense product on 784x200 took ~30 us
+# and the share was 3/8.)
+DENSE_DELTA_SHARE = 1 / 5
 
 
 def _layer_consts(net):

@@ -6,11 +6,12 @@ import pytest
 from sigmadelta.costs import LayerActivity, flops_sigma_delta
 from sigmadelta.kernels import OpLedger
 from sigmadelta.data import gen_random_network
+from sigmadelta.mlp import train_mlp
 from sigmadelta.network import (DENSE_DELTA_SHARE, LayerSpec, NetworkSpec,
                                 SigmaDeltaRuntime, TemporalDiffRuntime,
-                                bake_scales, forward_original,
-                                forward_rounding, load_network, save_network,
-                                softmax)
+                                bake_scales, dense_batch, forward_original,
+                                forward_rounding, load_network, rounding_batch,
+                                save_network, softmax)
 from sigmadelta.quantizers import round_half_away
 
 
@@ -64,6 +65,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="one number"):
             LayerSpec(np.eye(2), np.zeros(2), "relu", scale)
 
+    @pytest.mark.parametrize("scale", [True, np.bool_(False), np.array(True),
+                                       "2.5", np.str_("2.5"), b"2"],
+                             ids=["bool", "np-bool", "0-d-bool", "str",
+                                  "np-str", "bytes"])
+    def test_bool_or_string_scale_refused(self, scale):
+        # as load_network refuses them in a file
+        with pytest.raises(ValueError, match="numeric"):
+            LayerSpec(np.eye(2), np.zeros(2), "relu", scale)
+
     @pytest.mark.parametrize("scale", [2, np.float64(0.75), np.array(1.5),
                                        np.float32(0.5)],
                              ids=["int", "float64", "0-d", "float32"])
@@ -95,6 +105,112 @@ class TestSpecValidation:
         rng = np.random.default_rng(1)
         net = random_net(rng, [5, 4, 3])
         assert net.dims == (5, 4, 3)
+
+
+def misaligned(a, offset):
+    """A writable copy of a whose data sits offset bytes past a 64-byte
+    boundary."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    lo = -buf.ctypes.data % 64 + offset
+    out = buf[lo:lo + a.nbytes].view(np.float64).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def on_misaligned_arrays(net, offset):
+    """net with each layer's weights and grid W/k moved offset bytes off a
+    64-byte boundary, past what LayerSpec's own copy allows."""
+    layers = []
+    for layer in net.layers:
+        moved = layer.with_scale(layer.scale)
+        object.__setattr__(moved, "weights", misaligned(layer.weights, offset))
+        moved.__dict__["grid"] = layer.grid._replace(
+            weights=misaligned(layer.grid.weights, offset))
+        layers.append(moved)
+    return NetworkSpec(layers)
+
+
+def assert_owned(a):
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert a.ctypes.data % 64 == 0
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a.flat[0] = 1.0
+
+
+class TestOwnedParameters:
+    def test_caller_edits_reach_no_layer(self):
+        # the stale grid: a layer that kept a caller's float64 arrays
+        # uncopied let the dense pass read a later edit, and a grid built
+        # after the edit round it
+        W, b = np.eye(2), np.zeros(2)
+        net = NetworkSpec([LayerSpec(W, b, "identity", 1.0)])
+        W[:] = 3 * np.eye(2)
+        b[:] = 1.0
+        x = [1.2, 0.9]
+        assert np.array_equal(forward_original(net, x), [1.2, 0.9])
+        assert np.array_equal(forward_rounding(net, x), [1.0, 1.0])
+        layer = net.layers[0]
+        assert np.array_equal(layer.weights, np.eye(2))
+        assert np.array_equal(layer.bias, np.zeros(2))
+        for a in (layer.weights, layer.bias):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+
+    def test_every_constructor_aligns(self, tmp_path):
+        rng = np.random.default_rng(40)
+        net = random_net(rng, [7, 6, 5, 3])
+        save_network(net, tmp_path / "net.json")
+        X = rng.standard_normal((60, 7))
+        trained, _ = train_mlp(X, rng.integers(0, 3, 60), dims=(7, 6, 3),
+                               rng=rng, epochs=1, target_acc=0.0)
+        for built in (net, net.with_scales([0.5, 2.0, 3.0]), bake_scales(net),
+                      load_network(tmp_path / "net.json"),
+                      gen_random_network(rng, dims=(9, 8, 4, 2)), trained):
+            for layer in built.layers:
+                for a in (layer.weights, layer.bias, layer.grid.weights):
+                    assert_owned(a)
+
+    def test_with_scales_shares_the_parameters(self):
+        net = random_net(np.random.default_rng(41), [6, 5, 4])
+        rescaled = net.with_scales([3.0, 0.25])
+        for a, b in zip(net.layers, rescaled.layers):
+            assert b.weights is a.weights and b.bias is a.bias
+            assert np.shares_memory(b.weights, a.weights)
+            assert np.shares_memory(b.bias, a.bias)
+            # its own grid, at its own scale
+            assert not np.shares_memory(b.grid.weights, a.grid.weights)
+
+    def test_a_callers_array_is_never_shared(self):
+        W = np.eye(3)
+        layer = LayerSpec(W, np.zeros(3), "relu", 1.0).with_scale(2.0)
+        assert not np.shares_memory(layer.weights, W)
+
+    @pytest.mark.parametrize("offset", [16, 32, 48])
+    def test_outputs_do_not_depend_on_alignment(self, offset):
+        # BLAS may take another code path on an unaligned matrix; every
+        # executor must still give the aligned layers' bits
+        rng = np.random.default_rng(42)
+        net = gen_random_network(rng, dims=(784, 200, 200, 10)).with_scales(
+            [8.0, 4.0, 4.0])
+        moved = on_misaligned_arrays(net, offset)
+        for a, b in zip(net.layers, moved.layers):
+            assert b.weights.ctypes.data % 64 == offset
+            assert b.grid.weights.ctypes.data % 64 == offset
+            assert np.array_equal(a.weights, b.weights)
+        X = np.cumsum(0.3 * rng.standard_normal((30, 784)), axis=0)
+        X[5:8] = X[4]
+        for batch in (dense_batch, rounding_batch):
+            assert np.array_equal(batch(moved, X), batch(net, X))
+        for forward in (forward_original, forward_rounding):
+            assert np.array_equal(
+                np.array([forward(moved, x) for x in X]),
+                np.array([forward(net, x) for x in X]))
+        for runtime in (TemporalDiffRuntime, SigmaDeltaRuntime):
+            got, want = runtime(moved), runtime(net)
+            assert np.array_equal(np.array([got.step(x) for x in X]),
+                                  np.array([want.step(x) for x in X]))
 
 
 class TestForwardOriginal:
