@@ -126,8 +126,6 @@ def build_parser():
     mn.add_argument("--buffer-size", type=int)
     mn.add_argument("--opt-frames", type=int,
                     help="cap on frames used for scale optimization")
-    mn.add_argument("--limit-train", type=int)
-    mn.add_argument("--limit-test", type=int)
 
     tr = command("train-mlp", cmd_train_mlp, "train a classifier on MNIST")
     tr.add_argument("--seed", type=int, default=0)

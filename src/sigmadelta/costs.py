@@ -13,6 +13,7 @@ data, so other process nodes can be modeled by swapping the table.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class EnergyTable:
 
     def __post_init__(self):
         for name in ("float_mult", "float_add", "int_mult", "int_add"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be positive and finite")
 
 
 DEFAULT_ENERGY_TABLE = EnergyTable()

@@ -106,7 +106,8 @@ def save_idx(ds, image_path, label_path=None):
     width that is not a perfect square raises ValueError.
     """
     frames = ds.frames
-    if frames.size and (frames.min() < 0 or frames.max() > 1):
+    # written so that NaN fails it
+    if frames.size and not (frames.min() >= 0 and frames.max() <= 1):
         raise ValueError("IDX export requires frame values in [0, 1]")
     side = int(round(frames.shape[1] ** 0.5))
     if side * side != frames.shape[1]:

@@ -150,20 +150,19 @@ def _eval_rounding_point(net, scales, X, y_true):
 
 def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
                           n_random=1000, train_frames=2048, eval_frames=512,
-                          epochs=6, eta=0.02, batch_size=32, surrogate="ste",
-                          scale_spread=3.0, threads=None):
+                          epochs=6, eta=0.02, surrogate="ste", threads=None):
     """Scale optimization on the badly-rescaled random network.
 
-    Draws n_random random per-layer rescalings to map the error/computation
-    plane, then optimizes scales for each lambda and records the
-    trajectories and endpoints.  Writes cloud.csv, trajectories.csv,
-    endpoints.csv and a manifest into out_dir.  Every argument is checked
-    before the first file is written.
+    Draws n_random random per-layer rescalings, log k uniform in [-3, 3],
+    to map the error/computation plane, then optimizes scales for each
+    lambda and records the trajectories and endpoints.  Writes cloud.csv,
+    trajectories.csv, endpoints.csv and a manifest into out_dir.  Every
+    argument is checked before the first file is written.
     """
     if n_random < 1:
         raise ValueError("n_random must be >= 1")
     configs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
-                              batch_size=batch_size, surrogate=surrogate)
+                              surrogate=surrogate)
                for lam in lambdas]
     workers = worker_count(len(configs), threads)
     rng = np.random.default_rng(seed)
@@ -176,7 +175,7 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
 
     cloud = []
     for m in range(n_random):
-        kappa = rng.uniform(-scale_spread, scale_spread, n_layers)
+        kappa = rng.uniform(-3.0, 3.0, n_layers)
         err, kflops = _eval_rounding_point(net, list(np.exp(kappa)), evalX, y_true)
         cloud.append((m, err, kflops))
     _write_csv(os.path.join(out_dir, "cloud.csv"),
@@ -212,8 +211,7 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
         "experiment": "random-net", "seed": seed, "lambdas": list(lambdas),
         "n_random": n_random, "train_frames": train_frames,
         "eval_frames": eval_frames, "epochs": epochs, "eta": eta,
-        "batch_size": batch_size, "surrogate": surrogate,
-        "scale_spread": scale_spread,
+        "surrogate": surrogate,
     })
     return {"cloud": cloud_pts, "endpoints": endpoints}
 
@@ -293,38 +291,32 @@ def _evaluate_setting(net_k, setting, datasets, orig_row):
 
 
 def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
-                     eta=0.01, epochs=2, batch_size=32, surrogate="ste",
-                     buffer_size=1000, threads=None, opt_frames=None,
-                     limit_train=None, limit_test=None):
+                     eta=0.01, epochs=2, surrogate="ste", buffer_size=1000,
+                     threads=None, opt_frames=None):
     """Evaluate all three executors across a lambda sweep on both dataset
     orderings, mirroring the results-table layout.
 
-    The rounding and sigma-delta networks of each setting compute on its
-    layers' grids (network.GRID_BITS), so their outputs, and their class
-    errors, are equal.  Settings and trace files are named
-    after repr(float(lam)).  limit_* truncate the datasets (for smoke
-    tests); opt_frames caps how many training frames the scale
-    optimization sees.  The data, the net and every argument are checked
-    before out_dir is made (buffer_size by the reshuffle).
+    The "unoptimized" setting is the network file's own scales, which is
+    also where every lambda's optimization starts.  The rounding and
+    sigma-delta networks of each setting compute on its layers' grids
+    (network.GRID_BITS), so their outputs, and their class errors, are
+    equal.  Settings and trace files are named after repr(float(lam)).
+    opt_frames caps how many training frames the scale optimization sees.
+    The data, the net and every argument are checked before out_dir is
+    made (buffer_size by the reshuffle).
     """
-    for name, value in (("limit_train", limit_train),
-                        ("limit_test", limit_test), ("opt_frames", opt_frames)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1 when given")
+    if opt_frames is not None and opt_frames < 1:
+        raise ValueError("opt_frames must be >= 1 when given")
     if lambdas is None:
         lambdas = [10.0 ** float(e) for e in np.linspace(-10, -5, 10)]
     configs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
-                              batch_size=batch_size, surrogate=surrogate)
+                              surrogate=surrogate)
                for lam in lambdas]
     workers = worker_count(len(configs), threads)
     rng = np.random.default_rng(seed)
 
     train = load_idx(*find_mnist_files(mnist_dir, "train"))
     test = load_idx(*find_mnist_files(mnist_dir, "test"))
-    if limit_train is not None:
-        train = type(train)(train.frames[:limit_train], train.labels[:limit_train])
-    if limit_test is not None:
-        test = type(test)(test.frames[:limit_test], test.labels[:limit_test])
     net = load_network(net_path)
     if net.input_dim != train.width:
         raise ValueError(
@@ -361,7 +353,7 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     opt_X = train.frames if opt_frames is None else train.frames[:opt_frames]
 
     sweep = _optimize_sweep(net, opt_X, configs, seed, 1, workers)
-    settings = [("unoptimized", [1.0] * len(net.layers))]
+    settings = [("unoptimized", net.scales)]
     for lam, result in zip(lambdas, sweep):
         scales = (None if isinstance(result, DivergenceError)
                   else result.scales)
@@ -391,11 +383,9 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     write_report_csv(os.path.join(out_dir, "report.csv"), report_rows)
     _write_manifest(out_dir, {
         "experiment": "mnist", "seed": seed, "lambdas": [float(l) for l in lambdas],
-        "eta": eta, "epochs": epochs, "batch_size": batch_size,
-        "surrogate": surrogate, "buffer_size": buffer_size,
-        "net_path": net_path, "mnist_dir": mnist_dir,
-        "opt_frames": opt_frames, "limit_train": limit_train,
-        "limit_test": limit_test,
+        "eta": eta, "epochs": epochs, "surrogate": surrogate,
+        "buffer_size": buffer_size, "net_path": net_path,
+        "mnist_dir": mnist_dir, "opt_frames": opt_frames,
     })
     return {"rows": report_rows, "summary": summary,
             "original": orig_row}

@@ -11,6 +11,9 @@ from .network import LayerSpec, NetworkSpec, dense_batch, relu, softmax
 
 __all__ = ["train_mlp", "accuracy"]
 
+_LEARNING_RATE = 1e-3  # Adam's step size
+_VAL_FRACTION = 0.1  # share of the samples held out for validation
+
 
 def _forward(Ws, bs, X):
     """The trainer's pass over its raw weight arrays, keeping every layer."""
@@ -27,25 +30,24 @@ def accuracy(net, X, labels):
     return float(np.mean(np.argmax(a, axis=1) == np.asarray(labels)))
 
 
-def train_mlp(images, labels, dims=(784, 200, 200, 10), rng=None, epochs=50,
-              batch_size=128, lr=1e-3, val_fraction=0.1, target_acc=0.978,
-              verbose=False):
+def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
+              batch_size=128, target_acc=0.978, verbose=False):
     """Train a classifier to at least target_acc validation accuracy.
 
+    rng, a numpy Generator, draws the validation split, the initial
+    weights and each epoch's order, so a seeded rng gives the same net.
     Returns (net, history) where history lists per-epoch dicts with the
     cross-entropy and validation accuracy.  Stops early once the target
     is reached.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     X = np.asarray(images, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != dims[0]:
         raise ValueError(f"images must be (n, {dims[0]})")
     n = X.shape[0]
-    n_val = max(1, int(n * val_fraction))
+    n_val = max(1, int(n * _VAL_FRACTION))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     Xtr, ytr = X[train_idx], y[train_idx]
@@ -95,7 +97,7 @@ def train_mlp(images, labels, dims=(784, 200, 200, 10), rng=None, epochs=50,
                     v += (1 - beta2) * g * g
                     mhat = m / (1 - beta1 ** t)
                     vhat = v / (1 - beta2 ** t)
-                    p -= lr * mhat / (np.sqrt(vhat) + eps)
+                    p -= _LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
         val_acc = accuracy(make_net(), Xva, yva)
         history.append({"epoch": epoch, "loss": total_loss / len(Xtr),
                         "val_acc": val_acc})

@@ -213,7 +213,9 @@ class LayerSpec:
                                    2.0 ** 53 * step))
 
     def scaled_weights(self):
-        """weights / k on the layer's grid: grid.weights."""
+        """weights / k on the layer's grid: grid.weights.  No executor
+        calls it; it stays only as a target the benchmark's tracer wraps,
+        until that tracer stops pinning it (ROADMAP items A2 and B)."""
         return self.grid.weights
 
     def with_scale(self, k):
@@ -584,7 +586,7 @@ def bake_scales(net):
     n = len(net.layers)
     for i, layer in enumerate(net.layers):
         k_next = net.layers[i + 1].scale if i + 1 < n else 1.0
-        w = layer.scaled_weights() * k_next  # rows / k_i, columns * k_{i+1}
+        w = layer.grid.weights * k_next  # rows / k_i, columns * k_{i+1}
         b = layer.bias * k_next
         if i == 0:
             baked.append(LayerSpec(w * layer.scale, b,

@@ -6,11 +6,11 @@ step as if it were the identity (straight-through); each scale's
 computation pressure comes only from its own layer's event count times
 fan-out, while the error term backpropagates through everything above it.
 
-Two surrogates stand in for the non-differentiable rounding during
+Three surrogates stand in for the non-differentiable rounding during
 training: the rounded values themselves with a pass-through backward
-("ste"), or additive uniform noise ("noise"), which makes the forward
+("ste"); additive uniform noise ("noise"), which makes the forward
 genuinely differentiable and tends to stabilize aggressive
-computation-reduction runs.
+computation-reduction runs; or no quantization at all ("identity").
 """
 
 import math
@@ -37,9 +37,11 @@ __all__ = [
 SURROGATES = ("ste", "noise", "identity")
 _PROB_FLOOR = 1e-12
 # optimize's divergence bound: this many times the median of the first
-# _BASELINE_STEPS positive batch error losses
+# _BASELINE_STEPS positive batch error losses, for _DIVERGENCE_PATIENCE
+# consecutive steps
 _DIVERGENCE_FACTOR = 10.0
 _BASELINE_STEPS = 5
+_DIVERGENCE_PATIENCE = 100
 
 
 @dataclass
@@ -54,7 +56,6 @@ class TradeoffConfig:
     epochs: int = 1
     batch_size: int = 32
     surrogate: str = "ste"
-    divergence_patience: int = 100
 
     def __post_init__(self):
         # written so that NaN fails each comparison
@@ -68,8 +69,6 @@ class TradeoffConfig:
             raise ValueError("batch_size must be >= 1")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
-        if not self.divergence_patience >= 1:
-            raise ValueError("divergence_patience must be >= 1")
 
     def resolve_distance(self, net):
         """The error distance: KL for softmax outputs, L2 otherwise."""
@@ -321,22 +320,6 @@ class OptimizeResult:
     trace: list = field(default_factory=list)
 
 
-def _log_scales(net, init):
-    """kappa = log k for optimize's init, refusing what no net could use."""
-    if len(init) != len(net.layers):
-        raise ValueError(f"init needs one scale per layer ({len(net.layers)}), "
-                         f"got {len(init)}")
-    kappas = []
-    for i, k in enumerate(init):
-        k = np.asarray(k, dtype=np.float64)
-        if k.ndim:
-            raise ValueError(f"init scale at layer {i} must be one number")
-        if not 0 < k < math.inf:  # false for NaN too
-            raise ValueError(f"init scale at layer {i} must be positive and finite")
-        kappas.append(float(np.log(k)))
-    return kappas
-
-
 class DivergenceError(RuntimeError):
     """Raised when the error loss stays blown up for too many steps."""
 
@@ -348,18 +331,19 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def optimize(net, frames, cfg, rng, init=None):
+def optimize(net, frames, cfg, rng):
     """Minibatch-optimize the layer scales on a set of input frames.
 
     The reference output for every sample comes from the original dense
-    network.  Scales start at k=1 for every layer, or at init: one
-    positive number per layer.  Returns the final scales k, a float per
-    layer, ready for net.with_scales or a later init, and a per-step trace
-    of (error, computation).  Raises DivergenceError if the error loss
-    exceeds 10x (_DIVERGENCE_FACTOR) its baseline for divergence_patience
-    consecutive steps.  The baseline is the median of the first five
-    (_BASELINE_STEPS) positive batch errors, so one lucky first batch does
-    not set it; a batch error of exactly 0 neither sets it nor diverges.
+    network.  Scales start at the net's own, net.scales; to resume a run,
+    pass net.with_scales(result.scales).  Returns the final scales k, a
+    float per layer, ready for net.with_scales, and a per-step trace of
+    (error, computation).  Raises DivergenceError if the error loss
+    exceeds 10x (_DIVERGENCE_FACTOR) its baseline for 100
+    (_DIVERGENCE_PATIENCE) consecutive steps.  The baseline is the median
+    of the first five (_BASELINE_STEPS) positive batch errors, so one
+    lucky first batch does not set it; a batch error of exactly 0 neither
+    sets it nor diverges.
 
     Besides the reference outputs, it keeps X W0, the frames times the
     first layer's weights, for grad_kappa's xw0: one (n, d1) array, about
@@ -368,7 +352,7 @@ def optimize(net, frames, cfg, rng, init=None):
     X = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("frames must be a nonempty (n, d) array")
-    kappas = [0.0] * len(net.layers) if init is None else _log_scales(net, init)
+    kappas = [math.log(k) for k in net.scales]
 
     y_true = dense_batch(net, X)
     xw0 = X @ net.layers[0].weights  # grad_kappa's first-layer product, once
@@ -401,7 +385,7 @@ def optimize(net, frames, cfg, rng, init=None):
             if diverging:
                 if streak_start is None:
                     streak_start = step
-                if step - streak_start + 1 >= cfg.divergence_patience:
+                if step - streak_start + 1 >= _DIVERGENCE_PATIENCE:
                     raise DivergenceError(streak_start, trace)
             else:
                 streak_start = None

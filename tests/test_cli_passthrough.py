@@ -137,9 +137,9 @@ REFUSED = {
                     "scale_list", "d_in_boolean", "directory")},
     "train-mlp --epochs 0": ["train-mlp", "--mnist-dir", "{ddir}",
                              "--epochs", "0", "--dims", "64,24,10"],
-    "mnist --limit-test -5": ["mnist", "--mnist-dir", "{ddir}", "--net",
-                              "{net}", "--limit-test", "-5",
-                              "--lambda-list", "1e-6", "--epochs", "1"],
+    "mnist --opt-frames 0": ["mnist", "--mnist-dir", "{ddir}", "--net",
+                             "{net}", "--opt-frames", "0",
+                             "--lambda-list", "1e-6", "--epochs", "1"],
     "SIGDEL_THREADS=abc random-net": ["random-net"] + SMALL_RN,
 }
 

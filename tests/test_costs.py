@@ -213,6 +213,14 @@ class TestEnergy:
         with pytest.raises(ValueError):
             EnergyTable(int_add=0.0)
 
+    @pytest.mark.parametrize("price", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["float_mult", "float_add", "int_mult",
+                                      "int_add"])
+    def test_non_finite_price_refused(self, name, price):
+        with pytest.raises(ValueError, match=name):
+            EnergyTable(**{name: price})
+
 
 def test_report_csv_schema(tmp_path):
     path = tmp_path / "report.csv"

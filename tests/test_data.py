@@ -71,6 +71,14 @@ class TestIdxIO:
         with pytest.raises(ValueError):
             save_idx(FrameDataset(np.full((2, 4), 2.0)), tmp_path / "x")
 
+    def test_nan_frame_refused_on_save(self, tmp_path):
+        # not written as pixel 0: NaN is not in [0, 1]
+        frames = np.full((2, 4), 0.5)
+        frames[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            save_idx(FrameDataset(frames), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_label_range_checked_on_save(self, tmp_path):
         ds = FrameDataset(np.zeros((2, 4)), labels=[0, 300])
         with pytest.raises(ValueError, match="ubyte"):

@@ -1,4 +1,6 @@
 import csv
+import inspect
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from sigmadelta.experiments import (classification_error, dense_batch,
                                     worker_count)
 from sigmadelta.mlp import train_mlp
 from sigmadelta.network import (SigmaDeltaRuntime, forward_original,
-                                forward_rounding, save_network)
+                                forward_rounding, load_network, save_network)
 from sigmadelta.quantizers import round_half_away
 from sigmadelta.scale_opt import DivergenceError
 from tests.test_network import random_net
@@ -198,8 +200,8 @@ def read_rows(path):
 class TestRandomNetExperiment:
     @pytest.mark.parametrize("kwargs", [
         dict(n_random=0), dict(n_random=-2), dict(eta=0.0),
-        dict(lambdas=(1e-6, -1e-6)), dict(epochs=-1), dict(batch_size=0),
-        dict(surrogate="nope"), dict(train_frames=0), dict(eval_frames=0),
+        dict(lambdas=(1e-6, -1e-6)), dict(epochs=-1), dict(surrogate="nope"),
+        dict(train_frames=0), dict(eval_frames=0),
         dict(eta=float("nan")), dict(eta=float("inf")),
         dict(lambdas=(float("nan"),)), dict(lambdas=(float("inf"),)),
         dict(env="abc")], ids=str)
@@ -303,14 +305,13 @@ def digits(tmp_path_factory):
 
 class TestMnistExperiment:
     @pytest.mark.parametrize("kwargs", [
-        dict(limit_train=0), dict(limit_train=-5), dict(limit_test=0),
-        dict(limit_test=-5), dict(opt_frames=0), dict(opt_frames=-1),
+        dict(opt_frames=0), dict(opt_frames=-1),
         dict(eta=0.0), dict(lambdas=[-1e-6]), dict(epochs=-1),
         dict(buffer_size=0), dict(env="abc")], ids=str)
     def test_refused_value_writes_nothing(self, digits, tmp_path, monkeypatch,
                                           kwargs):
         # the data, the net and every argument are checked before out_dir
-        # is made; a zero limit is refused, not read as "no limit"
+        # is made; a zero cap is refused, not read as "no cap"
         kwargs = dict(kwargs)
         monkeypatch.setenv("SIGDEL_THREADS", kwargs.pop("env", "1"))
         ddir, net_path = digits
@@ -438,6 +439,21 @@ class TestMnistExperiment:
         assert names[1] == "lambda=1e-10" and names[-1] == "lambda=1e-05"
         assert (tmp_path / "d" / "trace_lambda_1e-05.csv").exists()
 
+    def test_optimization_starts_from_the_nets_own_scales(self, digits,
+                                                          tmp_path):
+        # with no step taken, every setting is the network file's scales
+        ddir, net_path = digits
+        scaled_path = tmp_path / "scaled.json"
+        save_network(load_network(net_path).with_scales([2.0, 0.5]),
+                     scaled_path)
+        res = mnist_experiment(str(ddir), str(scaled_path), str(tmp_path / "o"),
+                               seed=0, lambdas=[1e-7, 1e-6], epochs=0,
+                               buffer_size=8, threads=1)
+        assert [e["setting"] for e in res["summary"]] == [
+            "unoptimized", "lambda=1e-07", "lambda=1e-06"]
+        for entry in res["summary"]:
+            assert entry["scales"] == [2.0, 0.5]
+
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             find_mnist_files(str(tmp_path), "train")
@@ -455,6 +471,32 @@ class TestMnistExperiment:
         # a numpy scalar is named as the plain float it holds
         assert sorted(p.name for p in out.glob("trace_*.csv")) == [
             "trace_lambda_1e-06.csv", "trace_lambda_1e-07.csv"]
+
+
+def manifest_config(path):
+    with open(path / "manifest.json") as f:
+        return json.load(f)["config"]
+
+
+def driver_keywords(driver):
+    # what a manifest echoes: every keyword but where and how fast it ran
+    params = set(inspect.signature(driver).parameters) - {"out_dir", "threads"}
+    return params | {"experiment"}
+
+
+def test_manifests_echo_exactly_the_drivers_keywords(digits, tmp_path):
+    # a manifest key cannot outlive the option it records, nor an option
+    # go unrecorded
+    random_net_experiment(str(tmp_path / "rn"), lambdas=(1e-6,), n_random=5,
+                          train_frames=32, eval_frames=16, epochs=1,
+                          threads=1)
+    assert (set(manifest_config(tmp_path / "rn"))
+            == driver_keywords(random_net_experiment))
+    ddir, net_path = digits
+    mnist_experiment(str(ddir), str(net_path), str(tmp_path / "mn"),
+                     lambdas=[1e-6], epochs=1, buffer_size=8, threads=1)
+    assert (set(manifest_config(tmp_path / "mn"))
+            == driver_keywords(mnist_experiment))
 
 
 def test_smoothness_lowers_sigma_delta_cost():

@@ -32,7 +32,8 @@ def test_early_stopping_cuts_epochs():
 def test_epochs_must_be_positive():
     X, y = make_blobs(np.random.default_rng(3), n=50)
     with pytest.raises(ValueError, match="epochs"):
-        train_mlp(X, y, dims=(20, 8, 3), epochs=0)
+        train_mlp(X, y, dims=(20, 8, 3), rng=np.random.default_rng(3),
+                  epochs=0)
 
 
 def test_deterministic_under_seed():

@@ -50,6 +50,8 @@ class TestSpecValidation:
             LayerSpec(np.eye(2), np.zeros(2), "relu", -1.0)
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu", np.nan)
+        with pytest.raises(ValueError):
+            LayerSpec(np.eye(2), np.zeros(2), "relu", np.inf)
 
     @pytest.mark.parametrize("scale", [{}, object()], ids=["dict", "object"])
     def test_unreadable_scale_refused(self, scale):
@@ -181,6 +183,23 @@ class TestOwnedParameters:
             assert np.shares_memory(b.bias, a.bias)
             # its own grid, at its own scale
             assert not np.shares_memory(b.grid.weights, a.grid.weights)
+
+    @pytest.mark.parametrize("scales", [[], [2.0], [2.0, 1.0, 0.5]],
+                             ids=["none", "short", "long"])
+    def test_with_scales_refuses_a_wrong_count(self, scales):
+        net = random_net(np.random.default_rng(41), [6, 5, 4])
+        with pytest.raises(ValueError, match="one scale per layer"):
+            net.with_scales(scales)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, np.ones(6)],
+                             ids=["zero", "negative", "nan", "inf",
+                                  "vector-over-inputs"])
+    def test_with_scales_refuses_a_bad_scale(self, bad):
+        # what a warm start of the optimizer goes through: a scale that is
+        # not one positive finite number is refused, not started from
+        net = random_net(np.random.default_rng(41), [6, 5, 4])
+        with pytest.raises(ValueError, match="scale must be"):
+            net.with_scales([bad, 1.0])
 
     def test_a_callers_array_is_never_shared(self):
         W = np.eye(3)
