@@ -37,7 +37,7 @@ print()
 print(f"{'ordering':>12} {'events/frame':>13} {'kflops/frame':>13} {'error %':>8}")
 for name, d in (("random", shuffled), ("temporal", temporal)):
     act = LayerActivity.for_network(net)
-    out = sigma_delta_stream(net, d, activity=act)
+    out = sigma_delta_stream(net, d.frames, activity=act)
     err = 100.0 * np.mean(np.argmax(out, axis=1) != d.labels)
     print(f"{name:>12} {act.l1.sum() / act.frames:>13.1f} "
           f"{flops_sigma_delta(act) / act.frames / 1000:>13.2f} {err:>8.2f}")

@@ -9,13 +9,12 @@ Subcommands:
 Each option's dest is the keyword of the library function behind its
 command; an option left out is not passed, so that function's default
 applies and that function alone checks the value.  Exit codes: 0 success,
-2 a refused value or file (one "error:" line on stderr), 3 tolerance
-breach.  Every subcommand is deterministic under a fixed --seed; the
-environment variable SIGDEL_THREADS caps sweep workers.
+2 a refused value, input file or output path (one "error:" line on
+stderr), 3 tolerance breach.  Every subcommand is deterministic under a
+fixed --seed; the environment variable SIGDEL_THREADS caps sweep workers.
 """
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 from .data import load_idx
 from .experiments import (equivalence_check, find_mnist_files,
                           mnist_experiment, random_net_experiment)
-from .mlp import accuracy, train_mlp
+from .mlp import _TARGET_ACC, accuracy, train_mlp
 from .network import load_network, save_network
 from .scale_opt import SURROGATES
 
@@ -67,8 +66,7 @@ def cmd_train_mlp(opts):
     save_network(net, path)
     print(f"saved {path}: val_acc={history[-1]['val_acc']:.4f} "
           f"test_acc={test_acc:.4f}")
-    target_acc = opts.get("target_acc", inspect.signature(
-        train_mlp).parameters["target_acc"].default)
+    target_acc = opts.get("target_acc", _TARGET_ACC)
     if test_acc < target_acc:
         print(f"warning: test accuracy {test_acc:.4f} below target "
               f"{target_acc}", file=sys.stderr)
@@ -80,13 +78,13 @@ def cmd_check(opts):
     if "net" in opts:
         opts["net"] = load_network(opts["net"])
     report = equivalence_check(**opts)
-    for key, value in report.items():
-        print(f"{key}: {value}")
-    if out:
+    if out:  # before printing: a path that cannot be a directory exits 2
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "equivalence.json"), "w") as f:
             json.dump(report, f, sort_keys=True, indent=2)
             f.write("\n")
+    for key, value in report.items():
+        print(f"{key}: {value}")
     return EXIT_OK if report["passed"] else EXIT_TOLERANCE
 
 
@@ -152,7 +150,7 @@ def main(argv=None):
     run = opts.pop("run")
     try:
         return run(opts)
-    except (ValueError, FileNotFoundError, IsADirectoryError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

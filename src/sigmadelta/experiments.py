@@ -19,9 +19,9 @@ from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, _write_csv, energy,
                     flops_sparse, write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
-from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, dense_batch,
-                      forward_original, forward_rounding, load_network,
-                      rounding_batch, sigma_delta_stream)
+from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, _check_frames,
+                      dense_batch, forward_original, forward_rounding,
+                      load_network, rounding_batch, sigma_delta_stream)
 from .scale_opt import DivergenceError, TradeoffConfig, error_loss, optimize
 
 __all__ = [
@@ -90,7 +90,8 @@ def equivalence_check(net=None, frames=None, seed=0, n_frames=500,
     rounding network (relative), of the temporal-difference network from
     the original (absolute), and the op totals of each executor: the
     dense count per frame, and the closed forms on the events that
-    rounding_batch and the sigma-delta step record.
+    rounding_batch and the sigma-delta step record.  frames, an (n, d)
+    array, is checked whole before the first frame runs.
     """
     for name, tol in (("sd_tol", sd_tol), ("td_tol", td_tol)):
         if not tol >= 0:  # NaN too: no run meets it
@@ -103,7 +104,7 @@ def equivalence_check(net=None, frames=None, seed=0, n_frames=500,
     if frames is None:
         frames = gen_random_stream(rng, n_frames, net.input_dim,
                                    smoothness).frames
-    frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
+    frames = _check_frames(frames, net.input_dim)
 
     act_sd = LayerActivity.for_network(net)
     td_rt = TemporalDiffRuntime(net)
@@ -272,8 +273,9 @@ def _evaluate_setting(net_k, setting, datasets, orig_row):
                              act_round.frames),
         })
         act_sd = LayerActivity.for_network(net_k)
-        sd_test_out = sigma_delta_stream(net_k, splits["test"], activity=act_sd)
-        sd_train_out = sigma_delta_stream(net_k, splits["train"])
+        sd_test_out = sigma_delta_stream(net_k, splits["test"].frames,
+                                         activity=act_sd)
+        sd_train_out = sigma_delta_stream(net_k, splits["train"].frames)
         sd_flops = flops_sigma_delta(act_sd) / act_sd.frames
         sd_err_test = classification_error(sd_test_out, splits["test"].labels)
         rows.append({

@@ -7,12 +7,14 @@ split; optimizer details are incidental, only the final accuracy matters.
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, dense_batch, relu, softmax
+from .network import (LayerSpec, NetworkSpec, _check_frames, dense_batch,
+                      relu, softmax)
 
 __all__ = ["train_mlp", "accuracy"]
 
 _LEARNING_RATE = 1e-3  # Adam's step size
 _VAL_FRACTION = 0.1  # share of the samples held out for validation
+_TARGET_ACC = 0.978  # train_mlp's default validation accuracy to stop at
 
 
 def _forward(Ws, bs, X):
@@ -31,22 +33,26 @@ def accuracy(net, X, labels):
 
 
 def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
-              batch_size=128, target_acc=0.978, verbose=False):
+              batch_size=128, target_acc=_TARGET_ACC, verbose=False):
     """Train a classifier to at least target_acc validation accuracy.
 
     rng, a numpy Generator, draws the validation split, the initial
     weights and each epoch's order, so a seeded rng gives the same net.
     Returns (net, history) where history lists per-epoch dicts with the
     cross-entropy and validation accuracy.  Stops early once the target
-    is reached.
+    is reached.  Before any training, ValueError refuses images that are
+    not finite (n, dims[0]) rows (network._check_frames), and labels that
+    are not n integers in [0, dims[-1]).
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    X = np.asarray(images, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != dims[0]:
-        raise ValueError(f"images must be (n, {dims[0]})")
+    X = _check_frames(images, dims[0])
     n = X.shape[0]
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu" or y.shape != (n,):
+        raise ValueError(f"labels must be {n} integers, one per image")
+    if not np.all((y >= 0) & (y < dims[-1])):
+        raise ValueError(f"labels must lie in [0, {dims[-1]})")
     n_val = max(1, int(n * _VAL_FRACTION))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]

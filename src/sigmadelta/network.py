@@ -287,12 +287,12 @@ def _check_input(net, x):
     return x
 
 
-def _check_frames(net, X):
-    """The entry check of the executors that take frames as rows."""
+def _check_frames(X, width):
+    """The package's one rule for frames as rows, checked before any work:
+    X as a float64 (n, width) array of finite values, or ValueError."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise ValueError(f"frames have shape {X.shape}, network expects "
-                         f"(n, {net.input_dim})")
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"frames have shape {X.shape}, expected (n, {width})")
     if not np.isfinite(X).all():
         raise ValueError("input frames must be finite")
     return X
@@ -344,7 +344,7 @@ def forward_rounding(net, x):
 def dense_batch(net, X, activity=None):
     """Vectorized forward_original over the rows of X."""
     nonzero = []
-    for _, s, a in _passes(net, _check_frames(net, X), snap=False):
+    for _, s, a in _passes(net, _check_frames(X, net.input_dim), snap=False):
         if activity is not None:
             nonzero.append(np.count_nonzero(s, axis=1))
     if activity is not None:
@@ -358,7 +358,7 @@ def rounding_batch(net, X, activity=None):
     (GRID_BITS).  A row whose event count is past int64 raises before any
     is recorded."""
     l1s = []
-    for _, s, a in _passes(net, _check_frames(net, X), snap=True):
+    for _, s, a in _passes(net, _check_frames(X, net.input_dim), snap=True):
         if activity is not None:
             l1 = np.abs(s).sum(axis=1)
             if not np.all(l1 < 2.0 ** 63):  # false for inf and NaN too
@@ -530,8 +530,8 @@ STREAM_CHUNK = 1000
 
 
 def sigma_delta_stream(net, frames, ledger=None, activity=None):
-    """Run the event-driven network over an ordered set of frames, from a
-    fresh runtime.  Returns the per-frame outputs.
+    """Run the event-driven network over the rows of frames, in order, from
+    a fresh runtime.  Returns the per-frame outputs.
 
     The step's integral is exactly the rounding pre-activation
     s @ W/k + b, s = round(k*a), so the stream is the rounding pass over
@@ -545,7 +545,7 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
     bounds each layer's grid computed once) raises ValueError before
     anything is charged.
     """
-    X = _check_frames(net, getattr(frames, "frames", frames))
+    X = _check_frames(frames, net.input_dim)
     out = np.empty((X.shape[0], net.output_dim))
     l1 = np.empty((X.shape[0], len(net.layers)), dtype=np.int64)
     prev = [np.zeros(l.d_in) for l in net.layers]

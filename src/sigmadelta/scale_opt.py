@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import apply_activation, dense_batch
+from .network import _check_frames, apply_activation, dense_batch
 from .quantizers import round_half_away
 
 __all__ = [
@@ -112,17 +112,6 @@ def _distance(y_round, y_true, distance):
     raise ValueError(f"unknown distance {distance!r}")
 
 
-def _as_batch(net, x):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input shape {x.shape} does not match network width {net.input_dim}")
-    return x, single
-
-
 def _forward_trace(net, X, kappas, surrogate, rng):
     """Run the scaled quantized forward on a batch, keeping everything the
     backward pass needs.  kappas holds one number, log k, per layer;
@@ -175,16 +164,16 @@ def _forward_trace(net, X, kappas, surrogate, rng):
     return A, Z, S, R, rw0
 
 
-def scaled_forward(net, x, kappas, surrogate="ste", rng=None):
-    """Output of the quantized network at the given log-scales.
+def scaled_forward(net, X, kappas, surrogate="ste", rng=None):
+    """Output of the quantized network at the given log-scales: one row per
+    frame of X, an (n, d) array (network._check_frames).
 
     With surrogate='ste' this is exactly the rounding network's output;
     'noise' replaces rounding with additive uniform noise; 'identity'
     disables quantization entirely.
     """
-    X, single = _as_batch(net, x)
-    A = _forward_trace(net, X, kappas, surrogate, rng)[0]
-    return A[-1][0] if single else A[-1]
+    X = _check_frames(X, net.input_dim)
+    return _forward_trace(net, X, kappas, surrogate, rng)[0][-1]
 
 
 def _loss_gradient(distance, last_activation, Y, T):
@@ -210,8 +199,9 @@ def _through_activation(name, g, a):
     return g
 
 
-def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None, xw0=None):
-    """Gradient of the tradeoff objective with respect to each layer's kappa.
+def grad_kappa(net, X, kappas, cfg, rng=None, y_true=None, xw0=None):
+    """Gradient of the tradeoff objective with respect to each layer's kappa,
+    on the frames X, an (n, d) array (network._check_frames).
 
     Returns (grads, info).  The error term backpropagates through all
     higher layers with pass-through rounding; the computation term for a
@@ -225,21 +215,21 @@ def grad_kappa(net, x, kappas, cfg, rng=None, y_true=None, xw0=None):
     without the backward product dU0 W0^T: every surrogate gives
     dR/dkappa = A - R, and sum((X - R0) * (dU0 W0^T)) equals
     sum(dU0 * (X W0 - R0 W0)), where the forward already formed R0 W0.
-    xw0 is X W0, x @ net.layers[0].weights, as y_true is the reference
+    xw0 is X W0, X @ net.layers[0].weights, as y_true is the reference
     output: data a caller that steps the same frames many times computes
     once (optimize does).  Left out, it is computed here, at the cost of
     the product it saves.
     """
-    X, _ = _as_batch(net, x)
+    X = _check_frames(X, net.input_dim)
     n = X.shape[0]
     if y_true is None:
         y_true = dense_batch(net, X)
-    T = np.atleast_2d(np.asarray(y_true, dtype=np.float64))
+    T = np.asarray(y_true, dtype=np.float64)
     dims = net.dims
     if T.shape != (n, dims[-1]):
         raise ValueError("outputs must have matching shapes")
     if xw0 is not None:
-        xw0 = np.atleast_2d(np.asarray(xw0, dtype=np.float64))
+        xw0 = np.asarray(xw0, dtype=np.float64)
         if xw0.shape != (n, dims[1]):
             raise ValueError("xw0 must have one row of the first layer's "
                              "outputs per frame")
@@ -332,7 +322,8 @@ class DivergenceError(RuntimeError):
 
 
 def optimize(net, frames, cfg, rng):
-    """Minibatch-optimize the layer scales on a set of input frames.
+    """Minibatch-optimize the layer scales on frames, a nonempty (n, d)
+    array (network._check_frames).
 
     The reference output for every sample comes from the original dense
     network.  Scales start at the net's own, net.scales; to resume a run,
@@ -349,9 +340,9 @@ def optimize(net, frames, cfg, rng):
     first layer's weights, for grad_kappa's xw0: one (n, d1) array, about
     a quarter of the frames' size for a 784-200 first layer.
     """
-    X = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("frames must be a nonempty (n, d) array")
+    X = _check_frames(frames, net.input_dim)
+    if X.shape[0] == 0:
+        raise ValueError("frames must be nonempty")
     kappas = [math.log(k) for k in net.scales]
 
     y_true = dense_batch(net, X)

@@ -319,7 +319,8 @@ def test_video_redundancy_substitute_property():
     net = gen_random_network(np.random.default_rng(42))
     costs = {}
     for name, alpha in (("smooth", 0.9), ("iid", 0.0)):
-        frames = gen_random_stream(np.random.default_rng(43), 300, 100, alpha)
+        frames = gen_random_stream(np.random.default_rng(43), 300, 100,
+                                   alpha).frames
         act = LayerActivity.for_network(net)
         sigma_delta_stream(net, frames, activity=act)
         costs[name] = flops_rounding(act)

@@ -141,6 +141,16 @@ REFUSED = {
                              "{net}", "--opt-frames", "0",
                              "--lambda-list", "1e-6", "--epochs", "1"],
     "SIGDEL_THREADS=abc random-net": ["random-net"] + SMALL_RN,
+    # labels 0..9 against 5 classes
+    "train-mlp --dims 64,24,5": ["train-mlp", "--mnist-dir", "{ddir}",
+                                 "--epochs", "1", "--dims", "64,24,5"],
+    # an output path that is an existing file, or lies under one
+    "random-net --out FILE": ["random-net", "--out", "{net}"] + SMALL_RN,
+    "mnist --out FILE": ["mnist", "--mnist-dir", "{ddir}", "--net", "{net}",
+                         "--out", "{net}", "--lambda-list", "1e-6",
+                         "--epochs", "1"],
+    "check-equivalence --out FILE/sub": ["check-equivalence", "--frames",
+                                         "20", "--out", "{net}/sub"],
 }
 
 
@@ -154,7 +164,8 @@ def test_refused_value_exits_2_with_one_line_and_no_file(
                        "abc" if name.startswith("SIGDEL") else "1")
     argv = [a.format(**inputs) for a in REFUSED[name]]
     command = argv[0]
-    if command in ("random-net", "mnist", "check-equivalence"):
+    if (command in ("random-net", "mnist", "check-equivalence")
+            and "--out" not in argv):
         argv += ["--out", str(work / "out")]
     if command == "train-mlp":
         argv += ["--net", str(work / "net.json")]

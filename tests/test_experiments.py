@@ -157,6 +157,33 @@ class TestEquivalenceCheck:
         with pytest.raises(ValueError, match="tol"):
             equivalence_check(seed=0, n_frames=20, **tol)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_refused_before_any_executor(self, bad,
+                                                           monkeypatch):
+        # the whole window is checked first, so no executor sees the frames
+        # before the bad one
+        calls = []
+
+        def counting(fn):
+            def run(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return run
+
+        for name in ("forward_original", "forward_rounding", "rounding_batch"):
+            monkeypatch.setattr(experiments, name,
+                                counting(getattr(experiments, name)))
+        for runtime in (experiments.TemporalDiffRuntime,
+                        experiments.SigmaDeltaRuntime):
+            monkeypatch.setattr(runtime, "step", counting(runtime.step))
+        rng = np.random.default_rng(3)
+        net = random_net(rng, [6, 5, 4])
+        frames = rng.standard_normal((9, 6))
+        frames[4, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            equivalence_check(net=net, frames=frames)
+        assert calls == []
+
 
 class TestWorkerCount:
     def test_env_caps_requested(self, monkeypatch):
@@ -509,6 +536,6 @@ def test_smoothness_lowers_sigma_delta_cost():
     costs = {}
     for name, ds in (("smooth", smooth), ("rough", rough)):
         act = LayerActivity.for_network(net)
-        sigma_delta_stream(net, ds, activity=act)
+        sigma_delta_stream(net, ds.frames, activity=act)
         costs[name] = act.l1[0]
     assert costs["smooth"] < costs["rough"]

@@ -64,7 +64,7 @@ def same_state(a, b):
             and a[2] == b[2])
 
 
-class TestSnapToGrid:
+class TestGridSnapping:
     def test_scaled_weights_and_bias_on_the_grid(self):
         for net in stream_nets(np.random.default_rng(0)):
             for layer in net.layers:

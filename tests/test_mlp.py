@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sigmadelta.mlp as mlp
 from sigmadelta.mlp import accuracy, train_mlp
 
 
@@ -34,6 +35,39 @@ def test_epochs_must_be_positive():
     with pytest.raises(ValueError, match="epochs"):
         train_mlp(X, y, dims=(20, 8, 3), rng=np.random.default_rng(3),
                   epochs=0)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fails the test if train_mlp runs a single training pass."""
+    def no_pass(*args):
+        raise AssertionError("a training pass ran")
+
+    monkeypatch.setattr(mlp, "_forward", no_pass)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_image_refused_before_any_epoch(bad, no_training):
+    X, y = make_blobs(np.random.default_rng(4), n=50)
+    X[17, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        train_mlp(X, y, dims=(20, 8, 3), rng=np.random.default_rng(4),
+                  epochs=2)
+
+
+@pytest.mark.parametrize("edit", ["negative", "past-the-last-class",
+                                  "short", "long", "float", "2-d"])
+def test_labels_refused_before_any_epoch(edit, no_training):
+    X, y = make_blobs(np.random.default_rng(5), n=50)
+    y = {"negative": np.where(np.arange(50) == 20, -1, y),
+         "past-the-last-class": np.where(np.arange(50) == 20, 3, y),
+         "short": y[:-1],
+         "long": np.append(y, 0),
+         "float": y.astype(np.float64),
+         "2-d": y[:, None]}[edit]
+    with pytest.raises(ValueError, match="labels"):
+        train_mlp(X, y, dims=(20, 8, 3), rng=np.random.default_rng(5),
+                  epochs=2)
 
 
 def test_deterministic_under_seed():

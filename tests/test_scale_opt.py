@@ -183,6 +183,19 @@ class TestGradKappa:
             else:
                 scaled_forward(net, x, kappas)
 
+    @pytest.mark.parametrize("call", ["grad_kappa", "scaled_forward"])
+    def test_refuses_a_single_frame(self, call):
+        # frames are (n, d) rows everywhere (network._check_frames); a
+        # single frame is one row
+        rng = np.random.default_rng(7)
+        net = random_net(rng, [5, 4, 3], scale_range=(1.0, 1.0))
+        with pytest.raises(ValueError, match="frames have shape"):
+            if call == "grad_kappa":
+                grad_kappa(net, rng.standard_normal(5), [0.0, 0.0],
+                           TradeoffConfig())
+            else:
+                scaled_forward(net, rng.standard_normal(5), [0.0, 0.0])
+
     def test_gradients_are_floats(self):
         rng = np.random.default_rng(7)
         net = random_net(rng, [5, 4, 3], scale_range=(1.0, 1.0))
@@ -311,11 +324,10 @@ class TestScaledForward:
         net = random_net(rng, [6, 5, 4], scale_range=(1.0, 1.0))
         kappas = list(rng.uniform(-1, 1, 2))
         scaled = net.with_scales([float(np.exp(k)) for k in kappas])
-        for _ in range(10):
-            x = rng.standard_normal(6)
-            got = scaled_forward(net, x, kappas, "ste")
-            want = forward_rounding(scaled, x)
-            assert np.max(np.abs(got - want)) < 1e-9
+        X = rng.standard_normal((10, 6))
+        got = scaled_forward(net, X, kappas, "ste")
+        want = np.stack([forward_rounding(scaled, x) for x in X])
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 class TestOptimize:
