@@ -230,17 +230,18 @@ def gen_random_stream(rng, n_frames, width, smoothness=0.0):
     """Gaussian frames with tunable temporal redundancy.
 
     smoothness=0 gives i.i.d. frames; as it approaches 1 each frame blends
-    into its predecessor until the stream is constant at 1.
+    into its predecessor until the stream is constant at 1.  One draw of
+    normal frames is smoothed in place, row by row, so the stream holds
+    one frame-sized array.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if not 0.0 <= smoothness <= 1.0:
         raise ValueError("smoothness must lie in [0, 1]")
-    raw = rng.standard_normal((n_frames, width))
+    frames = rng.standard_normal((n_frames, width))
     if smoothness == 0.0:
-        return FrameDataset(raw)
-    frames = np.empty_like(raw)
-    frames[0] = raw[0]
+        return FrameDataset(frames)
     for t in range(1, n_frames):
-        frames[t] = smoothness * frames[t - 1] + (1.0 - smoothness) * raw[t]
+        # the right side is formed before row t is overwritten
+        frames[t] = smoothness * frames[t - 1] + (1.0 - smoothness) * frames[t]
     return FrameDataset(frames)

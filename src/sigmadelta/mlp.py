@@ -66,6 +66,9 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
     vW = [np.zeros_like(W) for W in Ws]
     mb = [np.zeros_like(b) for b in bs]
     vb = [np.zeros_like(b) for b in bs]
+    # two work arrays per parameter, so a step allocates nothing W-sized
+    workW = [(np.empty_like(W), np.empty_like(W)) for W in Ws]
+    workb = [(np.empty_like(b), np.empty_like(b)) for b in bs]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
@@ -95,15 +98,22 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
                 db = dU.sum(axis=0)
                 if i > 0:
                     dU = (dU @ Ws[i].T) * (H[i] > 0)
-                for p, g, m, v in ((Ws[i], dW, mW[i], vW[i]),
-                                   (bs[i], db, mb[i], vb[i])):
+                for p, g, m, v, (x, y) in (
+                        (Ws[i], dW, mW[i], vW[i], workW[i]),
+                        (bs[i], db, mb[i], vb[i], workb[i])):
+                    # Adam's operations in the usual order, lr * mhat before
+                    # the division, written into x and y: the same bits
                     m *= beta1
-                    m += (1 - beta1) * g
+                    m += np.multiply(1 - beta1, g, out=x)
                     v *= beta2
-                    v += (1 - beta2) * g * g
-                    mhat = m / (1 - beta1 ** t)
-                    vhat = v / (1 - beta2 ** t)
-                    p -= _LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
+                    np.multiply(1 - beta2, g, out=x)
+                    v += np.multiply(x, g, out=x)
+                    np.divide(m, 1 - beta1 ** t, out=x)
+                    np.multiply(_LEARNING_RATE, x, out=x)
+                    np.divide(v, 1 - beta2 ** t, out=y)
+                    np.sqrt(y, out=y)
+                    y += eps
+                    p -= np.divide(x, y, out=x)
         val_acc = accuracy(make_net(), Xva, yva)
         history.append({"epoch": epoch, "loss": total_loss / len(Xtr),
                         "val_acc": val_acc})

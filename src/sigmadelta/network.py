@@ -87,6 +87,17 @@ def apply_activation(name, u):
     return _ACT_FNS[name](u)
 
 
+def _round_rows(s):
+    """round_half_away(s).  A batch (2-D) is rounded in place, 64 rows at a
+    time, so the rounding's own temporaries stay 64 rows; a single frame
+    (1-D) is rounded in one call, into a new array."""
+    if s.ndim == 1:
+        return round_half_away(s)
+    for i in range(0, len(s), 64):
+        s[i:i + 64] = round_half_away(s[i:i + 64])
+    return s
+
+
 def _max_abs(a):
     """max|a| without an |a| copy; 0 for an empty array."""
     return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
@@ -197,12 +208,10 @@ class LayerSpec:
         # at least the smallest float, 2**-1074, or it would underflow
         step = math.ldexp(1.0, max(
             (math.ceil(math.log2(m)) if m else 0) - GRID_BITS, -1074))
-        # in place, and rounded in blocks of rows: one more W/k-sized
-        # array grew the heap, and a benchmark run's peak RSS by up to
-        # 9 MB on the 784-200-200-10 net
+        # in place: one more W/k-sized array grew the heap, and a benchmark
+        # run's peak RSS by up to 9 MB on the 784-200-200-10 net
         wk /= step
-        for i in range(0, len(wk), 64):
-            wk[i:i + 64] = round_half_away(wk[i:i + 64])
+        _round_rows(wk)
         wk *= step
         b = round_half_away(self.bias / step) * step
         wk.flags.writeable = b.flags.writeable = False
@@ -306,16 +315,26 @@ def _passes(net, X, snap):
     Dense (snap false): s is the layer input a, times W.  Rounding (snap
     true): s is round(k*a), the input's integer grid values, times the
     layer's cached W/k, plus its bias, both on the layer's grid.
+
+    A layer holds one s-sized array: k*a is rounded where it lies
+    (_round_rows), and the bias and a ReLU are applied in place to the
+    product u, which no caller holds yet.  The bits are those of the
+    out-of-place expressions.
     """
     a = X
     for layer in net.layers:
         if snap:
-            s = round_half_away(a * layer.scale)
-            u = s @ layer.grid.weights + layer.grid.bias
+            s = _round_rows(a * layer.scale)
+            u = s @ layer.grid.weights
+            u += layer.grid.bias
         else:
             s = a
-            u = a @ layer.weights + layer.bias
-        a = apply_activation(layer.activation, u)
+            u = a @ layer.weights
+            u += layer.bias
+        if layer.activation == "relu":
+            a = np.maximum(u, 0.0, out=u)
+        else:
+            a = apply_activation(layer.activation, u)
         yield layer, s, a
 
 
@@ -536,9 +555,10 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
     The step's integral is exactly the rounding pre-activation
     s @ W/k + b, s = round(k*a), so the stream is the rounding pass over
     chunks of STREAM_CHUNK frames.  Per layer it takes the change
-    d = diff(s) along time, from the last s of the chunk before; a
-    frame's event L1 is the row sum of |d|.  Outputs, ledger and activity
-    are the step's to the bit.
+    d = diff(s) along time, from the last s of the chunk before, kept as
+    a copy of that row so that the chunk's s is freed; a frame's event L1
+    is the row sum of |d|.  Outputs, ledger and activity are the step's
+    to the bit.
 
     A window is all-or-nothing: it is checked whole (_check_frames), and a
     window with a frame the step would refuse (_check_events, against the
@@ -561,7 +581,7 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
             s_l1 = np.abs(s, out=d).sum(axis=1).max()
             _check_events(n.max(), s_l1, layer.grid.headroom)
             l1[rows, i] = n
-            prev[i] = s[-1]
+            prev[i] = s[-1].copy()
         out[rows] = a
     if activity is not None:
         activity.record_frames(l1=l1)

@@ -151,6 +151,13 @@ REFUSED = {
                          "--epochs", "1"],
     "check-equivalence --out FILE/sub": ["check-equivalence", "--frames",
                                          "20", "--out", "{net}/sub"],
+    # refused before any epoch runs and prints its line
+    "train-mlp --net FILE/sub": ["train-mlp", "--mnist-dir", "{ddir}",
+                                 "--epochs", "1", "--dims", "64,24,10",
+                                 "--net", "{net}/sub"],
+    "train-mlp --net DIR": ["train-mlp", "--mnist-dir", "{ddir}",
+                            "--epochs", "1", "--dims", "64,24,10",
+                            "--net", "{directory}"],
 }
 
 
@@ -167,7 +174,7 @@ def test_refused_value_exits_2_with_one_line_and_no_file(
     if (command in ("random-net", "mnist", "check-equivalence")
             and "--out" not in argv):
         argv += ["--out", str(work / "out")]
-    if command == "train-mlp":
+    if command == "train-mlp" and "--net" not in argv:
         argv += ["--net", str(work / "net.json")]
     assert main(argv) == 2
     captured = capsys.readouterr()

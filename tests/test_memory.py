@@ -1,0 +1,58 @@
+"""Peak memory of the batch paths, in multiples of the frames' size.
+
+Each pass holds one s-sized array per layer: the rounding runs in place in
+64-row blocks, and the bias and ReLU are applied in place to the product.
+gen_random_stream smooths its one draw of frames in place.  Peaks are
+tracemalloc's, over a second call (the first builds each layer's grid).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sigmadelta.data import gen_random_stream
+from sigmadelta.network import (LayerSpec, NetworkSpec, dense_batch,
+                                rounding_batch)
+
+N, WIDTH = 4096, 64
+FRAME_BYTES = N * WIDTH * 8
+
+
+def peak_frames(call):
+    """call()'s tracemalloc peak over FRAME_BYTES, after a first call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / FRAME_BYTES
+
+
+@pytest.fixture(scope="module")
+def net_and_frames():
+    rng = np.random.default_rng(31)
+    net = NetworkSpec([
+        LayerSpec(rng.standard_normal((WIDTH, 32)), rng.standard_normal(32),
+                  "relu", 8.0),
+        LayerSpec(rng.standard_normal((32, 10)), rng.standard_normal(10),
+                  "identity", 4.0)])
+    return net, rng.standard_normal((N, WIDTH))
+
+
+def test_smooth_stream_holds_one_frame_array():
+    # the normal draws and a second array of smoothed frames read 2.00
+    assert peak_frames(lambda: gen_random_stream(
+        np.random.default_rng(32), N, WIDTH, 0.95)) <= 1.1
+
+
+@pytest.mark.parametrize("run, bound", [(dense_batch, 1.0),
+                                        (rounding_batch, 2.5)],
+                         ids=["dense_batch", "rounding_batch"])
+def test_batch_pass_peak(net_and_frames, run, bound):
+    # out of place, with a bias sum and a ReLU copy per layer and two
+    # frame-sized rounding temporaries, they read 1.34 and 3.00
+    net, X = net_and_frames
+    assert peak_frames(lambda: run(net, X)) < bound
