@@ -36,7 +36,7 @@ print(f"unit scales:   error {err:6.3f}   {kf:7.2f} kflops/frame")
 print()
 print(f"{'lambda':>8} {'k1':>7} {'k2':>7} {'k3':>7} {'error':>8} {'kflops':>8}")
 for i, lam in enumerate((1e-8, 1e-7, 1e-6, 1e-5)):
-    cfg = TradeoffConfig(lam=lam, eta=0.02, epochs=6, batch_size=32)
+    cfg = TradeoffConfig(lam=lam, eta=0.02, epochs=6)
     result = optimize(net, train, cfg, rng=np.random.default_rng([seed, i]))
     k = result.scales
     err, kf = measure(k)
@@ -50,7 +50,7 @@ print()
 print("compare against random rescalings (is the frontier real?):")
 rng2 = np.random.default_rng(123)
 cloud = [measure(list(np.exp(rng2.uniform(-3, 3, 3)))) for _ in range(200)]
-cfg = TradeoffConfig(lam=1e-6, eta=0.02, epochs=6, batch_size=32)
+cfg = TradeoffConfig(lam=1e-6, eta=0.02, epochs=6)
 res = optimize(net, train, cfg, rng=np.random.default_rng([seed, 2]))
 err, kf = measure(res.scales)
 dominated = sum(1 for e, c in cloud

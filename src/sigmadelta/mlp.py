@@ -5,25 +5,19 @@ is event-driven.  Adam with early stopping on a held-out validation
 split; optimizer details are incidental, only the final accuracy matters.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, _check_frames, dense_batch,
-                      relu, softmax)
+from .network import (LayerSpec, NetworkSpec, _check_frames, _passes,
+                      dense_batch)
 
 __all__ = ["train_mlp", "accuracy"]
 
 _LEARNING_RATE = 1e-3  # Adam's step size
 _VAL_FRACTION = 0.1  # share of the samples held out for validation
 _TARGET_ACC = 0.978  # train_mlp's default validation accuracy to stop at
-
-
-def _forward(Ws, bs, X):
-    """The trainer's pass over its raw weight arrays, keeping every layer."""
-    H = [X]
-    for i, (W, b) in enumerate(zip(Ws, bs)):
-        U = H[-1] @ W + b
-        H.append(U if i == len(Ws) - 1 else relu(U))
-    return H
+_BATCH_SIZE = 128  # train_mlp's minibatch, in samples
 
 
 def accuracy(net, X, labels):
@@ -33,11 +27,12 @@ def accuracy(net, X, labels):
 
 
 def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
-              batch_size=128, target_acc=_TARGET_ACC, verbose=False):
+              target_acc=_TARGET_ACC, verbose=False):
     """Train a classifier to at least target_acc validation accuracy.
 
     rng, a numpy Generator, draws the validation split, the initial
     weights and each epoch's order, so a seeded rng gives the same net.
+    Adam steps minibatches of 128 samples (_BATCH_SIZE).
     Returns (net, history) where history lists per-epoch dicts with the
     cross-entropy and validation accuracy.  Stops early once the target
     is reached.  Before any training, ValueError refuses images that are
@@ -72,21 +67,27 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
+    acts = ["relu"] * (len(Ws) - 1) + ["softmax"]
+    # the layers network._passes runs, on the live arrays: a LayerSpec would
+    # copy W and b into read-only arrays that the Adam step could not update
+    live = SimpleNamespace(layers=[
+        SimpleNamespace(weights=W, bias=b, activation=a)
+        for W, b, a in zip(Ws, bs, acts)])
+
     def make_net():
-        acts = ["relu"] * (len(Ws) - 1) + ["softmax"]
-        return NetworkSpec([LayerSpec(W, b, a)
-                            for W, b, a in zip(Ws, bs, acts)])
+        return NetworkSpec([LayerSpec(**vars(l)) for l in live.layers])
 
     history = []
     for epoch in range(epochs):
         order = rng.permutation(len(Xtr))
         total_loss = 0.0
-        for lo in range(0, len(Xtr), batch_size):
-            idx = order[lo:lo + batch_size]
+        for lo in range(0, len(Xtr), _BATCH_SIZE):
+            idx = order[lo:lo + _BATCH_SIZE]
             xb, yb = Xtr[idx], ytr[idx]
             B = len(idx)
-            H = _forward(Ws, bs, xb)
-            P = softmax(H[-1])
+            H = []  # each layer's input; the last output is the softmax P
+            for _, s, P in _passes(live, xb, snap=False):
+                H.append(s)
             total_loss += -np.log(
                 np.maximum(P[np.arange(B), yb], 1e-12)).sum()
             dU = P.copy()

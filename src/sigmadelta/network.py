@@ -309,8 +309,8 @@ def _check_frames(X, width):
 
 def _passes(net, X, snap):
     """X (one frame, or frames as rows) through the layers: the one loop of
-    the stateless executors.  Yields (layer, s, a) per layer, where s is
-    what multiplied the weights and a is the layer's output.
+    the stateless executors and of train_mlp.  Yields (layer, s, a) per
+    layer: s is what multiplied the weights, a the layer's output.
 
     Dense (snap false): s is the layer input a, times W.  Rounding (snap
     true): s is round(k*a), the input's integer grid values, times the
@@ -319,7 +319,7 @@ def _passes(net, X, snap):
     A layer holds one s-sized array: k*a is rounded where it lies
     (_round_rows), and the bias and a ReLU are applied in place to the
     product u, which no caller holds yet.  The bits are those of the
-    out-of-place expressions.
+    out-of-place expressions.  A caller may overwrite a rounded s.
     """
     a = X
     for layer in net.layers:
@@ -379,7 +379,7 @@ def rounding_batch(net, X, activity=None):
     l1s = []
     for _, s, a in _passes(net, _check_frames(X, net.input_dim), snap=True):
         if activity is not None:
-            l1 = np.abs(s).sum(axis=1)
+            l1 = np.abs(s, out=s).sum(axis=1)
             if not np.all(l1 < 2.0 ** 63):  # false for inf and NaN too
                 raise ValueError("input rows must have event counts that "
                                  "fit int64")

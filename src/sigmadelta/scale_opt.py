@@ -42,6 +42,7 @@ _PROB_FLOOR = 1e-12
 _DIVERGENCE_FACTOR = 10.0
 _BASELINE_STEPS = 5
 _DIVERGENCE_PATIENCE = 100
+_BATCH_SIZE = 32  # optimize's minibatch, in frames
 
 
 @dataclass
@@ -54,7 +55,6 @@ class TradeoffConfig:
     lam: float = 0.0
     eta: float = 0.01
     epochs: int = 1
-    batch_size: int = 32
     surrogate: str = "ste"
 
     def __post_init__(self):
@@ -65,8 +65,6 @@ class TradeoffConfig:
             raise ValueError("eta must be positive and finite")
         if not self.epochs >= 0:
             raise ValueError("epochs must be nonnegative")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be >= 1")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
 
@@ -168,9 +166,9 @@ def scaled_forward(net, X, kappas, surrogate="ste", rng=None):
     """Output of the quantized network at the given log-scales: one row per
     frame of X, an (n, d) array (network._check_frames).
 
-    With surrogate='ste' this is exactly the rounding network's output;
-    'noise' replaces rounding with additive uniform noise; 'identity'
-    disables quantization entirely.
+    With surrogate='ste' this is the rounding network's output up to its
+    grids' snapping of W/k and the bias; 'noise' replaces rounding with
+    additive uniform noise; 'identity' disables quantization entirely.
     """
     X = _check_frames(X, net.input_dim)
     return _forward_trace(net, X, kappas, surrogate, rng)[0][-1]
@@ -323,7 +321,7 @@ class DivergenceError(RuntimeError):
 
 def optimize(net, frames, cfg, rng):
     """Minibatch-optimize the layer scales on frames, a nonempty (n, d)
-    array (network._check_frames).
+    array (network._check_frames), 32 frames a step (_BATCH_SIZE).
 
     The reference output for every sample comes from the original dense
     network.  Scales start at the net's own, net.scales; to resume a run,
@@ -354,8 +352,8 @@ def optimize(net, frames, cfg, rng):
     streak_start = None
     for epoch in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
-        for lo in range(0, X.shape[0], cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
+        for lo in range(0, X.shape[0], _BATCH_SIZE):
+            idx = order[lo:lo + _BATCH_SIZE]
             grads, info = grad_kappa(net, X[idx], kappas, cfg, rng=rng,
                                      y_true=y_true[idx], xw0=xw0[idx])
             kappas = update_scales(kappas, grads, cfg.eta)

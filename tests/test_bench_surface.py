@@ -65,9 +65,9 @@ def test_optimize_steps_through_the_module_global(monkeypatch):
     net = network.NetworkSpec([
         network.LayerSpec(rng.standard_normal((6, 5)), np.zeros(5), "relu"),
         network.LayerSpec(rng.standard_normal((5, 4)), np.zeros(4), "identity")])
-    cfg = scale_opt.TradeoffConfig(lam=1e-3, epochs=3, batch_size=16)
+    cfg = scale_opt.TradeoffConfig(lam=1e-3, epochs=3)
     scale_opt.optimize(net, rng.standard_normal((50, 6)), cfg, rng=rng)
-    assert len(calls) == cfg.epochs * math.ceil(50 / cfg.batch_size)
+    assert len(calls) == cfg.epochs * math.ceil(50 / scale_opt._BATCH_SIZE)
 
 
 def test_every_workload_call_binds_to_the_library_signature():

@@ -268,6 +268,21 @@ class TestHeadroom:
         got = np.array([rt.step(x) for x in X[10:]])
         assert np.array_equal(got, rounding_batch(net, X[10:]))
 
+    def test_stateless_passes_take_a_frame_past_the_limit(self):
+        # new coverage, pinning today's behaviour: the step refuses this
+        # frame, the stateless rounding passes refuse no finite frame and
+        # return finite outputs, whose sums are no longer exact
+        net = huge_frame_net()
+        x = stream(np.random.default_rng(8), 20, 20, 0.9)[10].copy()
+        x[3] = 1e17
+        w, b, limit = net.layers[0].grid.headroom
+        s = np.abs(np.round(net.layers[0].scale * x)).sum()
+        assert s * w + b >= limit  # past the first layer's limit
+        with pytest.raises(ValueError):
+            SigmaDeltaRuntime(net).step(x)
+        assert np.all(np.isfinite(forward_rounding(net, x)))
+        assert np.all(np.isfinite(rounding_batch(net, x[None])))
+
     @pytest.mark.parametrize("bad", [1e17, np.nan])
     def test_stream_refuses_and_charges_nothing(self, monkeypatch, bad):
         monkeypatch.setattr(network, "STREAM_CHUNK", 4)

@@ -1,5 +1,5 @@
-"""Unused-import check for the package, its tests, its demos and the
-benchmark harness, and a dead-helper check for the package, standing in
+"""Unused-import check for the package, its tests, its demos, its tools and
+the benchmark harness, and a dead-helper check for the package, standing in
 for a linter.
 
 A module-level import is unused when its name appears nowhere else in the
@@ -54,7 +54,8 @@ def test_no_unused_module_imports(path):
 
 @pytest.mark.parametrize("path", sorted([*(ROOT / "tests").glob("*.py"),
                                          *(ROOT / "demos").glob("*.py"),
-                                         *(ROOT / "perfbench").glob("*.py")]),
+                                         *(ROOT / "perfbench").glob("*.py"),
+                                         *(ROOT / "tools").glob("*.py")]),
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_test_or_demo_imports(path):
     assert unused_imports(path) == []

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sigmadelta.costs import LayerActivity
 from sigmadelta.data import gen_random_stream
 from sigmadelta.network import (LayerSpec, NetworkSpec, dense_batch,
                                 rounding_batch)
@@ -48,11 +49,18 @@ def test_smooth_stream_holds_one_frame_array():
         np.random.default_rng(32), N, WIDTH, 0.95)) <= 1.1
 
 
+def rounding_batch_counted(net, X):
+    return rounding_batch(net, X, LayerActivity.for_network(net))
+
+
 @pytest.mark.parametrize("run, bound", [(dense_batch, 1.0),
-                                        (rounding_batch, 2.5)],
-                         ids=["dense_batch", "rounding_batch"])
+                                        (rounding_batch, 2.5),
+                                        (rounding_batch_counted, 2.4)],
+                         ids=["dense_batch", "rounding_batch",
+                              "rounding_batch-activity"])
 def test_batch_pass_peak(net_and_frames, run, bound):
     # out of place, with a bias sum and a ReLU copy per layer and two
-    # frame-sized rounding temporaries, they read 1.34 and 3.00
+    # frame-sized rounding temporaries, they read 1.34 and 3.00; an
+    # activity's row sums of an |s| copy read 2.52
     net, X = net_and_frames
     assert peak_frames(lambda: run(net, X)) < bound

@@ -16,7 +16,7 @@ def test_trains_to_target_accuracy():
     rng = np.random.default_rng(0)
     X, y = make_blobs(rng)
     net, history = train_mlp(X, y, dims=(20, 16, 3), rng=rng, epochs=40,
-                             batch_size=32, target_acc=0.95)
+                             target_acc=0.95)
     assert history[-1]["val_acc"] >= 0.95
     assert accuracy(net, X, y) >= 0.95
     assert net.layers[-1].activation == "softmax"
@@ -40,10 +40,10 @@ def test_epochs_must_be_positive():
 @pytest.fixture
 def no_training(monkeypatch):
     """Fails the test if train_mlp runs a single training pass."""
-    def no_pass(*args):
+    def no_pass(*args, **kwargs):
         raise AssertionError("a training pass ran")
 
-    monkeypatch.setattr(mlp, "_forward", no_pass)
+    monkeypatch.setattr(mlp, "_passes", no_pass)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
