@@ -35,44 +35,45 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
     Adam steps minibatches of 128 samples (_BATCH_SIZE).
     Returns (net, history) where history lists per-epoch dicts with the
     cross-entropy and validation accuracy.  Stops early once the target
-    is reached.  Before any training, ValueError refuses images that are
-    not finite (n, dims[0]) rows (network._check_frames), and labels that
-    are not n integers in [0, dims[-1]).
+    is reached.  Before any training or draw from rng, ValueError refuses
+    images that are not finite (n, dims[0]) rows (network._check_frames),
+    fewer than 2 images (one is held out, one trained on), and labels
+    that are not n integers in [0, dims[-1]).
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     X = _check_frames(images, dims[0])
     n = X.shape[0]
-    y = np.asarray(labels)
-    if y.dtype.kind not in "iu" or y.shape != (n,):
+    if n < 2:
+        raise ValueError(f"need at least 2 images, one held out, got {n}")
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or labels.shape != (n,):
         raise ValueError(f"labels must be {n} integers, one per image")
-    if not np.all((y >= 0) & (y < dims[-1])):
+    if not np.all((labels >= 0) & (labels < dims[-1])):
         raise ValueError(f"labels must lie in [0, {dims[-1]})")
     n_val = max(1, int(n * _VAL_FRACTION))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    Xtr, ytr = X[train_idx], y[train_idx]
-    Xva, yva = X[val_idx], y[val_idx]
+    Xtr, ytr = X[train_idx], labels[train_idx]
+    Xva, yva = X[val_idx], labels[val_idx]
 
-    Ws = [rng.standard_normal((dims[i], dims[i + 1])) * np.sqrt(2.0 / dims[i])
-          for i in range(len(dims) - 1)]
-    bs = [np.zeros(d) for d in dims[1:]]
-    mW = [np.zeros_like(W) for W in Ws]
-    vW = [np.zeros_like(W) for W in Ws]
-    mb = [np.zeros_like(b) for b in bs]
-    vb = [np.zeros_like(b) for b in bs]
-    # two work arrays per parameter, so a step allocates nothing W-sized
-    workW = [(np.empty_like(W), np.empty_like(W)) for W in Ws]
-    workb = [(np.empty_like(b), np.empty_like(b)) for b in bs]
+    # the one home of the live W and b, as layers network._passes runs: a
+    # LayerSpec's read-only copies could not be updated in place
+    live = SimpleNamespace(layers=[SimpleNamespace(
+        weights=rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in),
+        bias=np.zeros(d_out), activation="relu")
+        for d_in, d_out in zip(dims, dims[1:])])
+    live.layers[-1].activation = "softmax"
+
+    def params():
+        return (p for l in live.layers for p in (l.weights, l.bias))
+
+    # per parameter, in W0, b0, W1, ... order: Adam's m and v, and two work
+    # arrays, so a step allocates nothing W-sized
+    adam = [(np.zeros_like(p), np.zeros_like(p), np.empty_like(p),
+             np.empty_like(p)) for p in params()]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
-
-    acts = ["relu"] * (len(Ws) - 1) + ["softmax"]
-    # the layers network._passes runs, on the live arrays: a LayerSpec would
-    # copy W and b into read-only arrays that the Adam step could not update
-    live = SimpleNamespace(layers=[
-        SimpleNamespace(weights=W, bias=b, activation=a)
-        for W, b, a in zip(Ws, bs, acts)])
 
     def make_net():
         return NetworkSpec([LayerSpec(**vars(l)) for l in live.layers])
@@ -94,27 +95,25 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
             dU[np.arange(B), yb] -= 1.0
             dU /= B
             t += 1
-            for i in reversed(range(len(Ws))):
-                dW = H[i].T @ dU
-                db = dU.sum(axis=0)
+            grads = []  # in params() order
+            for i in reversed(range(len(live.layers))):
+                grads[:0] = H[i].T @ dU, dU.sum(axis=0)
                 if i > 0:
-                    dU = (dU @ Ws[i].T) * (H[i] > 0)
-                for p, g, m, v, (x, y) in (
-                        (Ws[i], dW, mW[i], vW[i], workW[i]),
-                        (bs[i], db, mb[i], vb[i], workb[i])):
-                    # Adam's operations in the usual order, lr * mhat before
-                    # the division, written into x and y: the same bits
-                    m *= beta1
-                    m += np.multiply(1 - beta1, g, out=x)
-                    v *= beta2
-                    np.multiply(1 - beta2, g, out=x)
-                    v += np.multiply(x, g, out=x)
-                    np.divide(m, 1 - beta1 ** t, out=x)
-                    np.multiply(_LEARNING_RATE, x, out=x)
-                    np.divide(v, 1 - beta2 ** t, out=y)
-                    np.sqrt(y, out=y)
-                    y += eps
-                    p -= np.divide(x, y, out=x)
+                    dU = (dU @ live.layers[i].weights.T) * (H[i] > 0)
+            for p, g, (m, v, num, den) in zip(params(), grads, adam):
+                # Adam's operations in the usual order, lr * mhat before the
+                # division, written into num and den: the same bits
+                m *= beta1
+                m += np.multiply(1 - beta1, g, out=num)
+                v *= beta2
+                np.multiply(1 - beta2, g, out=num)
+                v += np.multiply(num, g, out=num)
+                np.divide(m, 1 - beta1 ** t, out=num)
+                np.multiply(_LEARNING_RATE, num, out=num)
+                np.divide(v, 1 - beta2 ** t, out=den)
+                np.sqrt(den, out=den)
+                den += eps
+                p -= np.divide(num, den, out=num)
         val_acc = accuracy(make_net(), Xva, yva)
         history.append({"epoch": epoch, "loss": total_loss / len(Xtr),
                         "val_acc": val_acc})

@@ -28,17 +28,15 @@ sigma-delta executors refuse a frame whose sums could pass it, so the
 sigma-delta network equals the rounding network bit for bit.  The dense
 executors use the weights as given.
 
-Each layer holds its weights, its bias and its grid's W/k as read-only
-copies at a 64-byte boundary, one weight-sized copy per layer built from a
-caller's arrays; a layer that only changes the scale shares them.  So
-every executor multiplies aligned matrices, and no caller's array can move
-a layer's parameters after it is built.
+Each layer owns its weights, its bias and its grid's W/k as read-only
+copies at a 64-byte boundary, taken when it is built, with_scale included.
+So every executor multiplies aligned matrices, and no caller's array can
+move a layer's parameters after it is built.
 """
 
 import base64
 import json
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,20 +133,12 @@ def _aligned(shape):
     return buf[lo:lo + n].view(np.float64).reshape(shape)
 
 
-# the arrays _owned made, held weakly by id: a layer built from one shares it.
-# It decides only whether memory is shared, never what a layer computes.
-_OWNED = weakref.WeakValueDictionary()
-
-
 def _owned(a):
-    """A read-only, 64-byte-aligned copy of the float64 array a, or a itself
-    if it is already one: no caller holds a writable view of it."""
-    if _OWNED.get(id(a)) is a:
-        return a
+    """A fresh read-only, 64-byte-aligned copy of the float64 array a, which
+    no caller holds a view of."""
     out = _aligned(a.shape)
     np.copyto(out, a)
     out.flags.writeable = False
-    _OWNED[id(out)] = out
     return out
 
 
@@ -159,7 +149,7 @@ class LayerSpec:
     positive number, kept as a Python float.
 
     weights and bias are the layer's own read-only, 64-byte-aligned float64
-    copies (_owned), which with_scale shares.
+    copies (_owned), taken by every layer.
     """
 
     weights: np.ndarray
@@ -228,7 +218,7 @@ class LayerSpec:
         return self.grid.weights
 
     def with_scale(self, k):
-        """This layer at scale k; it shares the weights and bias."""
+        """This layer at scale k, with its own copies of W and b."""
         return LayerSpec(self.weights, self.bias, self.activation, k)
 
 
@@ -319,7 +309,9 @@ def _passes(net, X, snap):
     A layer holds one s-sized array: k*a is rounded where it lies
     (_round_rows), and the bias and a ReLU are applied in place to the
     product u, which no caller holds yet.  The bits are those of the
-    out-of-place expressions.  A caller may overwrite a rounded s.
+    out-of-place expressions.  A caller may overwrite a rounded s; one that
+    drops it before the next layer, as the loop does, frees it before the
+    next k*a is formed.
     """
     a = X
     for layer in net.layers:
@@ -336,6 +328,7 @@ def _passes(net, X, snap):
         else:
             a = apply_activation(layer.activation, u)
         yield layer, s, a
+        del s
 
 
 def forward_original(net, x):
@@ -384,6 +377,7 @@ def rounding_batch(net, X, activity=None):
                 raise ValueError("input rows must have event counts that "
                                  "fit int64")
             l1s.append(l1.astype(np.int64))
+        del s
     if activity is not None:
         activity.record_frames(l1=np.stack(l1s, axis=1))
     return a
@@ -582,6 +576,7 @@ def sigma_delta_stream(net, frames, ledger=None, activity=None):
             _check_events(n.max(), s_l1, layer.grid.headroom)
             l1[rows, i] = n
             prev[i] = s[-1].copy()
+            del s, d
         out[rows] = a
     if activity is not None:
         activity.record_frames(l1=l1)

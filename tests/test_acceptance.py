@@ -9,7 +9,8 @@ a directory holding train-images-idx3-ubyte / train-labels-idx1-ubyte /
 t10k-images-idx3-ubyte / t10k-labels-idx1-ubyte (optionally .gz), or drop
 them under data/mnist/.  Without the files those two tests skip.  The
 first MNIST run trains the classifier network and caches it under
-.cache/.
+.cache/.  Their stand-ins run the same checks on perfbench's seeded
+synthetic digits, which need no download.
 """
 
 import os
@@ -19,7 +20,8 @@ import pytest
 
 from sigmadelta.costs import (DEFAULT_ENERGY_TABLE, LayerActivity, energy,
                               flops_dense, flops_rounding)
-from sigmadelta.data import (gen_random_network, gen_random_stream, load_idx,
+from sigmadelta.data import (FrameDataset, gen_random_network,
+                             gen_random_stream, load_idx, save_idx,
                              temporal_reshuffle)
 from sigmadelta.experiments import (dense_batch, find_mnist_files,
                                     mnist_experiment, random_net_experiment,
@@ -33,6 +35,7 @@ from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
 from sigmadelta.quantizers import (DeltaHerder, Herder, TemporalDifference,
                                    round_half_away)
 from sigmadelta.scale_opt import TradeoffConfig, error_loss, grad_kappa, scaled_forward
+from tests.test_bench_surface import bench_module
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -267,6 +270,11 @@ def test_criterion_9_mnist_reproduction(tmp_path):
     res = mnist_experiment(mnist_dir, net_path, str(tmp_path / "mnist"),
                            seed=0, lambdas=list(np.logspace(-10, -5, 10)),
                            epochs=2, buffer_size=1000)
+    check_mnist_table(9, res)
+
+
+def check_mnist_table(num, res):
+    """Criterion 9's checks (a)-(d) of mnist_experiment's results."""
     summary = [s for s in res["summary"] if not s.get("diverged")]
     unopt = summary[0]
     assert unopt["setting"] == "unoptimized"
@@ -287,10 +295,10 @@ def test_criterion_9_mnist_reproduction(tmp_path):
     inversions = sum(1 for x, y in zip(costs, costs[1:]) if y > x)
     d_ok = inversions <= 1
 
-    check(9, f"MNIST: round {unopt['round_kflops']:.1f} kflops in [30,60]; "
-             f"sd-temporal {unopt['sd_kflops_temporal_mnist']:.1f} in [15,35]; "
-             f"temporal saving {ratio:.2f}x >= 1.5; errors identical: {c_ok}; "
-             f"sweep inversions {inversions} <= 1",
+    check(num, f"MNIST: round {unopt['round_kflops']:.1f} kflops in [30,60]; "
+               f"sd-temporal {unopt['sd_kflops_temporal_mnist']:.1f} in [15,35]; "
+               f"temporal saving {ratio:.2f}x >= 1.5; errors identical: {c_ok}; "
+               f"sweep inversions {inversions} <= 1",
           a_ok and b_ok and c_ok and d_ok)
 
 
@@ -302,15 +310,20 @@ def test_criterion_10_temporal_reshuffle_on_mnist():
         assert test.width == 784
         assert test.labels[0] == 7
     subset = type(test)(test.frames[:1000], test.labels[:1000])
+    check_reshuffle(10, subset)
+
+
+def check_reshuffle(num, subset):
+    """Criterion 10's checks of temporal_reshuffle on IDX-stored frames."""
     rng = np.random.default_rng(10)
     out = temporal_reshuffle(subset, buffer_size=100, rng=rng)
     key = lambda f: sorted(map(tuple, np.round(f * 255).astype(int)))
     is_perm = key(out.frames) == key(subset.frames)
-    shuffled = subset.frames[np.random.default_rng(10).permutation(1000)]
+    shuffled = subset.frames[np.random.default_rng(10).permutation(len(subset))]
     before = np.linalg.norm(np.diff(shuffled, axis=0), axis=1).mean()
     after = np.linalg.norm(np.diff(out.frames, axis=0), axis=1).mean()
-    check(10, f"reshuffle is a permutation; adjacent L2 {after:.3f} < "
-              f"{before:.3f}", is_perm and after < before)
+    check(num, f"reshuffle is a permutation; adjacent L2 {after:.3f} < "
+               f"{before:.3f}", is_perm and after < before)
 
 
 def test_video_redundancy_substitute_property():
@@ -327,3 +340,38 @@ def test_video_redundancy_substitute_property():
     check("S", f"sigma-delta cost falls with stream smoothness "
                f"({costs['smooth']} < {costs['iid']} ops)",
           costs["smooth"] < costs["iid"])
+
+
+@pytest.fixture(scope="module")
+def synthetic_digits(tmp_path_factory):
+    """perfbench's seeded MNIST-shaped digits in IDX files (160 train, 80
+    test, rng 0), with the 784-200-200-10 MLP trained on them (seed 0, 20
+    epochs).  Returns (directory, net path)."""
+    digits = bench_module("digits")
+    tmp = tmp_path_factory.mktemp("synthetic-digits")
+    rng = np.random.default_rng(0)
+    base = digits.templates()
+    for n, split in ((160, "train"), (80, "t10k")):
+        save_idx(FrameDataset(*digits.make_digits(rng, n, base)),
+                 tmp / f"{split}-images-idx3-ubyte",
+                 tmp / f"{split}-labels-idx1-ubyte")
+    train = load_idx(*find_mnist_files(tmp, "train"))
+    net, _ = train_mlp(train.frames, train.labels, dims=(784, 200, 200, 10),
+                       rng=np.random.default_rng(0), epochs=20)
+    save_network(net, tmp / "net.json")
+    return tmp, tmp / "net.json"
+
+
+def test_criterion_9_stand_in_on_synthetic_digits(synthetic_digits, tmp_path):
+    # criterion 9's checks and bounds, at sizes tier-1 runs in well under
+    # a second (the net's own test accuracy, 0.9 here, is not checked)
+    ddir, net_path = synthetic_digits
+    res = mnist_experiment(ddir, net_path, str(tmp_path / "mnist"), seed=0,
+                           lambdas=[1e-9, 1e-7, 1e-5], epochs=2,
+                           buffer_size=100)
+    check_mnist_table("9S", res)
+
+
+def test_criterion_10_stand_in_on_synthetic_digits(synthetic_digits):
+    ddir, _ = synthetic_digits
+    check_reshuffle("10S", load_idx(*find_mnist_files(ddir, "test")))

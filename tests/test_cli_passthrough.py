@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from sigmadelta.cli import build_parser, main
-from sigmadelta.experiments import (equivalence_check, mnist_experiment,
-                                    random_net_experiment)
+from sigmadelta.data import FrameDataset, load_idx, save_idx
+from sigmadelta.experiments import (equivalence_check, find_mnist_files,
+                                    mnist_experiment, random_net_experiment)
 from sigmadelta.mlp import train_mlp
 from tests.test_experiments import make_digit_fixture
 
@@ -105,7 +106,15 @@ def inputs(tmp_path_factory):
             "no_layers": json.dumps(header),
             **{name: json.dumps(dict(header, layers=[bad]))
                for name, bad in bad_layers.items()}}
-    paths = {"ddir": str(ddir), "net": str(net_path), "directory": str(ddir)}
+    one = tmp / "one-image"  # the digit data, cut to one training image
+    one.mkdir()
+    for split, prefix in (("train", "train"), ("test", "t10k")):
+        ds = load_idx(*find_mnist_files(ddir, split))
+        save_idx(FrameDataset(ds.frames[:1], ds.labels[:1]),
+                 one / f"{prefix}-images-idx3-ubyte",
+                 one / f"{prefix}-labels-idx1-ubyte")
+    paths = {"ddir": str(ddir), "net": str(net_path), "directory": str(ddir),
+             "one_image": str(one)}
     for name, text in docs.items():
         (tmp / f"{name}.json").write_text(text)
         paths[name] = str(tmp / f"{name}.json")
@@ -141,6 +150,8 @@ REFUSED = {
                              "{net}", "--opt-frames", "0",
                              "--lambda-list", "1e-6", "--epochs", "1"],
     "SIGDEL_THREADS=abc random-net": ["random-net"] + SMALL_RN,
+    "train-mlp one image": ["train-mlp", "--mnist-dir", "{one_image}",
+                            "--epochs", "1", "--dims", "64,24,10"],
     # labels 0..9 against 5 classes
     "train-mlp --dims 64,24,5": ["train-mlp", "--mnist-dir", "{ddir}",
                                  "--epochs", "1", "--dims", "64,24,5"],

@@ -55,6 +55,26 @@ def test_non_finite_image_refused_before_any_epoch(bad, no_training):
                   epochs=2)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_images_refused_before_any_draw(n, no_training):
+    # one image is held out for validation, so at least one must be left
+    # to train on; the trainer divided by an empty training set before
+    X, y = make_blobs(np.random.default_rng(6), n=n)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least 2 images"):
+        train_mlp(X, y, dims=(20, 8, 3), rng=rng, epochs=2)
+    assert rng.bit_generator.state == state
+
+
+def test_two_images_train():
+    X, y = make_blobs(np.random.default_rng(6), n=2)
+    _, history = train_mlp(X, y, dims=(20, 8, 3),
+                           rng=np.random.default_rng(6), epochs=2,
+                           target_acc=2.0)
+    assert len(history) == 2 and np.isfinite(history[-1]["loss"])
+
+
 @pytest.mark.parametrize("edit", ["negative", "past-the-last-class",
                                   "short", "long", "float", "2-d"])
 def test_labels_refused_before_any_epoch(edit, no_training):

@@ -174,14 +174,19 @@ class TestOwnedParameters:
                 for a in (layer.weights, layer.bias, layer.grid.weights):
                     assert_owned(a)
 
-    def test_with_scales_shares_the_parameters(self):
+    def test_with_scales_copies_the_parameters(self):
         net = random_net(np.random.default_rng(41), [6, 5, 4])
         rescaled = net.with_scales([3.0, 0.25])
         for a, b in zip(net.layers, rescaled.layers):
-            assert b.weights is a.weights and b.bias is a.bias
-            assert np.shares_memory(b.weights, a.weights)
-            assert np.shares_memory(b.bias, a.bias)
+            for mine, source in ((b.weights, a.weights), (b.bias, a.bias)):
+                assert np.array_equal(mine, source)
+                assert_owned(mine)
+                assert not np.shares_memory(mine, source)
             # its own grid, at its own scale
+            fresh = LayerSpec(a.weights, a.bias, a.activation, b.scale).grid
+            assert np.array_equal(b.grid.weights, fresh.weights)
+            assert b.grid.step == fresh.step
+            assert not np.array_equal(b.grid.weights, a.grid.weights)
             assert not np.shares_memory(b.grid.weights, a.grid.weights)
 
     @pytest.mark.parametrize("scales", [[], [2.0], [2.0, 1.0, 0.5]],

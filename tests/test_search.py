@@ -1,0 +1,113 @@
+"""A seeded search over random nets and streams for the exact executors.
+
+Each case draws a net of 1-3 layers of width 1-8, with parameter
+magnitudes from 1e-8 to 1e8 (a fifth of the layers with integer weights;
+biases times 0, 1 or 100), relu or identity hidden layers and any output
+activation, one scale per layer from 1e-3 to 1e3, and a stream of 1-40
+frames with held frames and half-integer ties at the first layer.
+
+Where the step takes every frame, the step, sigma_delta_stream,
+forward_rounding and rounding_batch give the same bits, and the step and
+the stream the same LayerActivity.  Where the step refuses a frame, the
+stream refuses the window, and the step's later outputs are those of a
+fresh runtime fed only the frames it took.  Every fifth net also goes
+through save_network and load_network, bit for bit.
+"""
+
+import numpy as np
+
+from sigmadelta.costs import LayerActivity
+from sigmadelta.network import (ACTIVATIONS, LayerSpec, NetworkSpec,
+                                SigmaDeltaRuntime, forward_rounding,
+                                load_network, rounding_batch, save_network,
+                                sigma_delta_stream)
+
+CASES = 1500
+
+
+def draw_net(rng):
+    n_layers = int(rng.integers(1, 4))
+    dims = rng.integers(1, 9, n_layers + 1)
+    layers = []
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        mag = 10.0 ** rng.uniform(-8, 8)
+        if rng.random() < 0.2:
+            W = rng.integers(-3, 4, (d_in, d_out)).astype(np.float64)
+        else:
+            W = rng.standard_normal((d_in, d_out)) * mag
+        b = rng.standard_normal(d_out) * mag * rng.choice([0.0, 1.0, 100.0])
+        last = i == n_layers - 1
+        act = rng.choice(ACTIVATIONS if last else ("relu", "identity"))
+        layers.append(LayerSpec(W, b, str(act), 10.0 ** rng.uniform(-3, 3)))
+    return NetworkSpec(layers)
+
+
+def draw_frames(rng, net):
+    n, width = int(rng.integers(1, 41)), net.input_dim
+    X = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-3, 3)
+    ties = rng.random(n) < 0.3  # k*x on a half-integer, where it rounds
+    X[ties] = (rng.integers(-5, 5, (ties.sum(), width)) + 0.5) \
+        / net.layers[0].scale
+    held = np.flatnonzero(rng.random(n) < 0.3)
+    for t in held[held > 0]:
+        X[t] = X[t - 1]
+    return X
+
+
+def step_all(net, X):
+    """Each frame through one runtime, refused ones skipped: (outputs of the
+    frames it took, their indices, its activity)."""
+    rt, act = SigmaDeltaRuntime(net), LayerActivity.for_network(net)
+    outs, taken = [], []
+    for t, x in enumerate(X):
+        try:
+            outs.append(rt.step(x, activity=act))
+        except ValueError:
+            continue
+        taken.append(t)
+    return outs, taken, act
+
+
+def test_seeded_search(tmp_path):
+    rng = np.random.default_rng(2024)
+    accepted = refused = 0
+    for case in range(CASES):
+        net = draw_net(rng)
+        X = draw_frames(rng, net)
+        outs, taken, act = step_all(net, X)
+
+        if case % 5 == 0:  # a file each: the round trip is the slow part
+            save_network(net, tmp_path / "net.json")
+            loaded = load_network(tmp_path / "net.json")
+            for a, b in zip(net.layers, loaded.layers):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.bias, b.bias)
+                assert (a.activation, a.scale) == (b.activation, b.scale)
+
+        if len(taken) == len(X):
+            accepted += 1
+            outs = np.stack(outs)
+            stream_act = LayerActivity.for_network(net)
+            assert np.array_equal(
+                sigma_delta_stream(net, X, activity=stream_act), outs)
+            assert list(stream_act.l1) == list(act.l1)
+            assert np.array_equal(
+                np.stack([forward_rounding(net, x) for x in X]), outs)
+            assert np.array_equal(rounding_batch(net, X), outs)
+            continue
+
+        refused += 1
+        stream_act = LayerActivity.for_network(net)
+        try:
+            sigma_delta_stream(net, X, activity=stream_act)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("the stream took a window the step refused")
+        assert stream_act.frames == 0
+        fresh_outs, fresh_taken, fresh_act = step_all(net, X[taken])
+        assert fresh_taken == list(range(len(taken)))
+        assert all(np.array_equal(a, b) for a, b in zip(outs, fresh_outs))
+        assert list(fresh_act.l1) == list(act.l1)
+    # the search reaches both sides of the limit
+    assert accepted > CASES // 4 and refused > CASES // 10
