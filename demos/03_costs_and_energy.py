@@ -8,9 +8,10 @@ passes cost whatever the data makes them cost.
 
 import numpy as np
 
-from sigmadelta import (DEFAULT_ENERGY_TABLE, LayerActivity, OpLedger, energy,
-                        flops_dense, flops_rounding, flops_sigma_delta,
-                        flops_sparse, gen_random_stream)
+from sigmadelta import (LayerActivity, OpLedger, energy, flops_dense,
+                        flops_rounding, flops_sigma_delta, flops_sparse,
+                        gen_random_stream)
+from sigmadelta.costs import INT_ADD_PJ, INT_MULT_PJ
 from sigmadelta.experiments import dense_batch, rounding_batch, sigma_delta_stream
 from sigmadelta.network import LayerSpec, NetworkSpec
 
@@ -49,11 +50,11 @@ for name, total in rows:
     half = total // 2
     led = (OpLedger(float_adds=total - half, float_mults=half) if dense_like
            else OpLedger(int_adds=total))
-    nj = energy(led, DEFAULT_ENERGY_TABLE, "int32") / n * 1e9
+    nj = energy(led) / n * 1e9
     print(f"{name:>22} {total / n:>12,.0f} {nj:>17.2f} nJ")
 
 print()
-print("per-op prices (pJ):", DEFAULT_ENERGY_TABLE)
+print(f"int32 per-op prices (pJ): add {INT_ADD_PJ}, multiply {INT_MULT_PJ}")
 print()
 print("the rounding pass pays one bias add per layer per frame; the")
 print("sigma-delta pass integrates the bias once at reset, so the gap is")

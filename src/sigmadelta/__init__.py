@@ -16,9 +16,8 @@ from .quantizers import (DeltaHerder, Herder, TemporalDifference,
 from .network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
                       TemporalDiffRuntime, bake_scales, forward_original,
                       forward_rounding, load_network, save_network)
-from .costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity, energy,
-                    flops_dense, flops_rounding, flops_sigma_delta,
-                    flops_sparse, write_report_csv)
+from .costs import (LayerActivity, energy, flops_dense, flops_rounding,
+                    flops_sigma_delta, flops_sparse, write_report_csv)
 from .scale_opt import (DivergenceError, TradeoffConfig, error_loss,
                         grad_kappa, optimize, scaled_forward, update_scales)
 from .data import (FrameDataset, gen_random_network, gen_random_stream,
@@ -32,9 +31,8 @@ __all__ = [
     "LayerSpec", "NetworkSpec", "SigmaDeltaRuntime", "TemporalDiffRuntime",
     "bake_scales", "forward_original", "forward_rounding", "load_network",
     "save_network",
-    "DEFAULT_ENERGY_TABLE", "EnergyTable", "LayerActivity", "energy",
-    "flops_dense", "flops_rounding", "flops_sigma_delta", "flops_sparse",
-    "write_report_csv",
+    "LayerActivity", "energy", "flops_dense", "flops_rounding",
+    "flops_sigma_delta", "flops_sparse", "write_report_csv",
     "DivergenceError", "TradeoffConfig", "error_loss", "grad_kappa",
     "optimize", "scaled_forward", "update_scales",
     "FrameDataset", "gen_random_network", "gen_random_stream", "load_idx",

@@ -58,8 +58,9 @@ def cmd_mnist(opts):
 def cmd_train_mlp(opts):
     mnist_dir, path = opts.pop("mnist_dir"), opts.pop("net")
     # before any training: save_network would only fail after the last epoch
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValueError(f"--net {path} is not a file path in an existing "
+    if (not path or os.path.isdir(path)
+            or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ValueError(f"--net {path!r} is not a file path in an existing "
                          "directory")
     train = load_idx(*find_mnist_files(mnist_dir, "train"))
     test = load_idx(*find_mnist_files(mnist_dir, "test"))

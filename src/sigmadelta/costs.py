@@ -8,19 +8,17 @@ Four closed forms cover the four executors:
   rounding     sum_l |s_l|_L1 * d_{l+1} + d_{l+1} (events plus a bias add)
   sigma-delta  sum_l |s_l|_L1 * d_{l+1}           (bias amortized at reset)
 
-Per-op energies default to 45nm-process estimates and are configuration
-data, so other process nodes can be modeled by swapping the table.
+energy prices every op at the paper's 45 nm int32 rates (INT_ADD_PJ,
+INT_MULT_PJ).
 """
 
 import csv
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EnergyTable",
-    "DEFAULT_ENERGY_TABLE",
+    "INT_ADD_PJ",
+    "INT_MULT_PJ",
     "LayerActivity",
     "flops_dense",
     "flops_sparse",
@@ -32,22 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyTable:
-    """Energy per operation class, in picojoules."""
-
-    float_mult: float = 3.7
-    float_add: float = 0.9
-    int_mult: float = 3.1
-    int_add: float = 0.1
-
-    def __post_init__(self):
-        for name in ("float_mult", "float_add", "int_mult", "int_add"):
-            if not 0 < getattr(self, name) < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be positive and finite")
-
-
-DEFAULT_ENERGY_TABLE = EnergyTable()
+# 45 nm int32 energy per op in picojoules (Horowitz, "Computing's energy
+# problem", ISSCC 2014)
+INT_ADD_PJ = 0.1
+INT_MULT_PJ = 3.1
 
 
 class LayerActivity:
@@ -147,19 +133,11 @@ def flops_sigma_delta(activity):
     return int((activity.l1 * activity.fanouts).sum())
 
 
-def energy(ledger, table=DEFAULT_ENERGY_TABLE, mode="int32"):
-    """Energy in joules for a ledger's ops under int32 or float32 arithmetic.
-
-    The mode chooses the price column for every op by its role (multiply
-    vs add), modeling the whole network stored at that precision.
-    """
-    if mode == "int32":
-        add_pj, mult_pj = table.int_add, table.int_mult
-    elif mode == "float32":
-        add_pj, mult_pj = table.float_add, table.float_mult
-    else:
-        raise ValueError(f"mode must be 'int32' or 'float32', got {mode!r}")
-    return (ledger.total_adds * add_pj + ledger.total_mults * mult_pj) * 1e-12
+def energy(ledger):
+    """Energy in joules for a ledger's ops, every op priced by its role
+    (multiply vs add) at the int32 rates, whatever path produced it."""
+    return (ledger.total_adds * INT_ADD_PJ
+            + ledger.total_mults * INT_MULT_PJ) * 1e-12
 
 
 REPORT_COLUMNS = [

@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .costs import (DEFAULT_ENERGY_TABLE, LayerActivity, _write_csv, energy,
-                    flops_dense, flops_rounding, flops_sigma_delta,
-                    flops_sparse, write_report_csv)
+from .costs import (LayerActivity, _write_csv, energy, flops_dense,
+                    flops_rounding, flops_sigma_delta, flops_sparse,
+                    write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
 from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, _check_frames,
@@ -240,7 +240,7 @@ def find_mnist_files(mnist_dir, split):
 
 
 def _nj(ledger, frames):
-    return energy(ledger, DEFAULT_ENERGY_TABLE, "int32") / frames * 1e9
+    return energy(ledger) / frames * 1e9
 
 
 def _evaluate_setting(net_k, setting, datasets, orig_row):

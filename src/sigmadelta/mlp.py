@@ -36,12 +36,16 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
     Returns (net, history) where history lists per-epoch dicts with the
     cross-entropy and validation accuracy.  Stops early once the target
     is reached.  Before any training or draw from rng, ValueError refuses
-    images that are not finite (n, dims[0]) rows (network._check_frames),
-    fewer than 2 images (one is held out, one trained on), and labels
-    that are not n integers in [0, dims[-1]).
+    dims that are not at least two widths, each >= 1, images that are not
+    finite (n, dims[0]) rows (network._check_frames), fewer than 2 images
+    (one is held out, one trained on), and labels that are not n integers
+    in [0, dims[-1]).
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"dims must be at least two widths, each >= 1, "
+                         f"got {dims}")
     X = _check_frames(images, dims[0])
     n = X.shape[0]
     if n < 2:

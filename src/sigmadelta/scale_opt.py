@@ -79,12 +79,15 @@ def error_loss(y_round, y_true, distance):
     'l2' is the Euclidean norm of the difference; 'kl' is KL(true||round)
     and requires both arguments to be probability vectors (rounded
     probabilities are floored at 1e-12 inside the log).  2-D inputs are
-    treated as batches and averaged.
+    treated as batches and averaged.  Outputs of unequal shapes, or empty
+    ones, are refused with ValueError.
     """
     y_round = np.asarray(y_round, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
     if y_round.shape != y_true.shape:
         raise ValueError("outputs must have matching shapes")
+    if y_round.size == 0:
+        raise ValueError("outputs must be nonempty")
     if distance == "kl":
         _check_probabilities(y_round, "y_round")
     return _distance(y_round, y_true, distance)
@@ -199,7 +202,7 @@ def _through_activation(name, g, a):
 
 def grad_kappa(net, X, kappas, cfg, rng=None, y_true=None, xw0=None):
     """Gradient of the tradeoff objective with respect to each layer's kappa,
-    on the frames X, an (n, d) array (network._check_frames).
+    on the frames X, a nonempty (n, d) array (network._check_frames).
 
     Returns (grads, info).  The error term backpropagates through all
     higher layers with pass-through rounding; the computation term for a
@@ -220,6 +223,8 @@ def grad_kappa(net, X, kappas, cfg, rng=None, y_true=None, xw0=None):
     """
     X = _check_frames(X, net.input_dim)
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("frames must be nonempty")
     if y_true is None:
         y_true = dense_batch(net, X)
     T = np.asarray(y_true, dtype=np.float64)

@@ -18,8 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from sigmadelta.costs import (DEFAULT_ENERGY_TABLE, LayerActivity, energy,
-                              flops_dense, flops_rounding)
+from sigmadelta.costs import LayerActivity, energy, flops_dense, flops_rounding
 from sigmadelta.data import (FrameDataset, gen_random_network,
                              gen_random_stream, load_idx, save_idx,
                              temporal_reshuffle)
@@ -67,7 +66,7 @@ def test_criterion_1_dense_flop_formula():
 
 def test_criterion_2_energy_model():
     led = OpLedger(float_adds=198_800, float_mults=198_800)
-    nj = energy(led, DEFAULT_ENERGY_TABLE, "int32") * 1e9
+    nj = energy(led) * 1e9
     # 198,800 * 3.1pJ + 198,800 * 0.1pJ = 636.16 nJ, i.e. the nominal 636
     check(2, f"dense int32 pass -> {nj:.2f} nJ (636.16 exact, within 0.5% of 636)",
           nj == pytest.approx(636.16, rel=1e-12)

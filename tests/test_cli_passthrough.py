@@ -169,6 +169,14 @@ REFUSED = {
     "train-mlp --net DIR": ["train-mlp", "--mnist-dir", "{ddir}",
                             "--epochs", "1", "--dims", "64,24,10",
                             "--net", "{directory}"],
+    "train-mlp --net ''": ["train-mlp", "--mnist-dir", "{ddir}",
+                           "--epochs", "1", "--dims", "64,24,10",
+                           "--net", ""],
+    # refused before any draw: no layer to build, or a layer of width 0
+    "train-mlp --dims 64": ["train-mlp", "--mnist-dir", "{ddir}",
+                            "--epochs", "1", "--dims", "64"],
+    "train-mlp --dims 64,0,10": ["train-mlp", "--mnist-dir", "{ddir}",
+                                 "--epochs", "1", "--dims", "64,0,10"],
 }
 
 

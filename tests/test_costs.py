@@ -3,9 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from sigmadelta.costs import (DEFAULT_ENERGY_TABLE, EnergyTable, LayerActivity,
-                              energy, flops_dense, flops_rounding,
-                              flops_sigma_delta, flops_sparse,
+from sigmadelta.costs import (LayerActivity, energy, flops_dense,
+                              flops_rounding, flops_sigma_delta, flops_sparse,
                               write_report_csv)
 from sigmadelta.kernels import OpLedger
 from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
@@ -180,21 +179,16 @@ class TestActivity:
 class TestEnergy:
     def test_dense_mnist_pass_int32(self):
         led = OpLedger(float_adds=198_800, float_mults=198_800)
-        e = energy(led, DEFAULT_ENERGY_TABLE, "int32")
+        e = energy(led)
         assert e == pytest.approx(636.16e-9, rel=1e-12)
         assert e == pytest.approx(636e-9, rel=0.005)
 
     def test_event_pass_int32(self):
         led = OpLedger(int_adds=24_000)
-        assert energy(led, mode="int32") == pytest.approx(2.4e-9, rel=1e-12)
+        assert energy(led) == pytest.approx(2.4e-9, rel=1e-12)
 
     def test_empty_ledger(self):
         assert energy(OpLedger()) == 0.0
-
-    def test_float32_mode(self):
-        led = OpLedger(float_adds=1000, float_mults=1000)
-        assert energy(led, mode="float32") == pytest.approx(
-            (1000 * 0.9 + 1000 * 3.7) * 1e-12)
 
     def test_linear_in_counts(self):
         rng = np.random.default_rng(2)
@@ -204,22 +198,6 @@ class TestEnergy:
                         a.float_mults + b.float_mults,
                         a.int_adds + b.int_adds, a.int_mults + b.int_mults)
         assert energy(both) == pytest.approx(energy(a) + energy(b))
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            energy(OpLedger(), mode="int8")
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            EnergyTable(int_add=0.0)
-
-    @pytest.mark.parametrize("price", [float("nan"), float("inf")],
-                             ids=["nan", "inf"])
-    @pytest.mark.parametrize("name", ["float_mult", "float_add", "int_mult",
-                                      "int_add"])
-    def test_non_finite_price_refused(self, name, price):
-        with pytest.raises(ValueError, match=name):
-            EnergyTable(**{name: price})
 
 
 def test_report_csv_schema(tmp_path):

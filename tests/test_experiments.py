@@ -372,6 +372,12 @@ class TestMnistExperiment:
             rows = list(csv.DictReader(f))
         # 2 settings x 2 datasets x 3 net types
         assert len(rows) == 12
+        # energy_nj prices the op counts: events are adds at 0.1 pJ, and the
+        # original pass is half adds and half multiplies, (0.1 + 3.1) / 2 pJ
+        for r in rows:
+            nj = (float(r["kflops_dense"]) * 1.6 if r["net_type"] == "original"
+                  else float(r["kflops"]) * 0.1)
+            assert float(r["energy_nj"]) == pytest.approx(nj, rel=1e-12)
         by_key = {(r["setting"], r["net_type"], r["dataset"]): r for r in rows}
         for setting in ("unoptimized", "lambda=1e-06"):
             for ds in ("mnist", "temporal_mnist"):

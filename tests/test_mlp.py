@@ -67,6 +67,20 @@ def test_fewer_than_two_images_refused_before_any_draw(n, no_training):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("dims", [(20,), (20, 0, 3), (20, 8, 0), ()],
+                         ids=["one-width", "zero-hidden", "zero-classes",
+                              "none"])
+def test_unbuildable_dims_refused_before_any_draw(dims, no_training):
+    # one width left no layer to index; a zero width divided by zero when
+    # the next layer's weights were drawn
+    X, y = make_blobs(np.random.default_rng(6), n=50)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least two widths"):
+        train_mlp(X, y, dims=dims, rng=rng, epochs=2)
+    assert rng.bit_generator.state == state
+
+
 def test_two_images_train():
     X, y = make_blobs(np.random.default_rng(6), n=2)
     _, history = train_mlp(X, y, dims=(20, 8, 3),

@@ -43,6 +43,13 @@ class TestErrorLoss:
         b = np.zeros((2, 2))
         assert error_loss(a, b, "l2") == 0.5
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0,)], ids=["batch", "vector"])
+    @pytest.mark.parametrize("distance", ["l2", "kl"])
+    def test_empty_outputs_refused(self, shape, distance):
+        # the mean over no rows was NaN, with a "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="nonempty"):
+            error_loss(np.zeros(shape), np.zeros(shape), distance)
+
 
 class TestUpdateScales:
     def test_zero_gradient_is_identity(self):
@@ -157,6 +164,15 @@ class TestGradKappa:
         stepped = update_scales(kappas, g, cfg.eta)
         _, after = grad_kappa(net, xb, stepped, cfg)
         assert after["comp_loss"] < before["comp_loss"]
+
+    @pytest.mark.parametrize("last", ["identity", "softmax"],
+                             ids=["l2", "kl"])
+    def test_empty_batch_refused(self, last):
+        # the computation term divides by the batch size
+        net = random_net(np.random.default_rng(7), [4, 3, 2],
+                         acts=["relu", last], scale_range=(1.0, 1.0))
+        with pytest.raises(ValueError, match="nonempty"):
+            grad_kappa(net, np.zeros((0, 4)), [0.0, 0.0], TradeoffConfig())
 
     def test_non_finite_forward_raises(self):
         rng = np.random.default_rng(6)
