@@ -83,7 +83,7 @@ def cmd_check(opts):
     if "net" in opts:
         opts["net"] = load_network(opts["net"])
     report = equivalence_check(**opts)
-    if out:  # before printing: a path that cannot be a directory exits 2
+    if out is not None:  # before printing: a bad path, '' too, exits 2
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "equivalence.json"), "w") as f:
             json.dump(report, f, sort_keys=True, indent=2)

@@ -1,10 +1,10 @@
 """Batch evaluation helpers and the experiment drivers behind the CLI.
 
-The per-frame executors in .network are the reference semantics; the batch
-evaluators (dense_batch, rounding_batch and sigma_delta_stream, defined in
-.network and importable from here) compute the same quantities over many
-frames at once so that whole test sets stay cheap.  Drivers write plain CSV
-plus a JSON manifest and return their results for in-process use.
+The per-frame executors in .network are the reference semantics; its batch
+evaluators, importable from here (dense_batch, rounding_batch, and
+sigma_delta_stream: a fresh SigmaDeltaRuntime's run), compute the same
+quantities over many frames at once so that whole test sets stay cheap.
+Drivers write plain CSV plus a JSON manifest and return their results too.
 """
 
 import json

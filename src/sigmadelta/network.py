@@ -13,13 +13,13 @@ the same function at very different costs:
 The last two communicate integer events between layers, so their cost is
 events-times-fanout additions instead of dense multiply-accumulates.
 dense_batch and rounding_batch evaluate the first and third over the rows
-of a batch, through the same layer loop; sigma_delta_stream runs the last
-over an ordered set of frames as that rounding loop over chunks of frames,
-and gets the per-frame executor's outputs and op counts to the bit.
+of a batch, through the same layer loop; SigmaDeltaRuntime.run, and
+sigma_delta_stream from a fresh runtime, run the last over a window of
+frames as that rounding loop, with the step's bits, counts and end state.
 
 The per-frame passes count nothing: a dense frame costs the constant
 flops_dense(net.dims), and rounding_batch records in a LayerActivity what
-forward_rounding's frames cost.  The sigma-delta step and stream record
+forward_rounding's frames cost.  The sigma-delta step and run record
 their events in a LayerActivity (and an OpLedger, if given one).
 
 The rounding and sigma-delta executors compute on each layer's grid (see
@@ -263,9 +263,6 @@ class NetworkSpec:
             raise ValueError("need one scale per layer")
         return NetworkSpec([l.with_scale(k) for l, k in zip(self.layers, scales)])
 
-    def __len__(self):
-        return len(self.layers)
-
     def __repr__(self):
         acts = ",".join(l.activation for l in self.layers)
         return f"NetworkSpec(dims={self.dims}, activations=[{acts}])"
@@ -461,6 +458,11 @@ def _check_events(l1, s_l1, headroom):
                          "limit, where they stop being exact")
 
 
+# Frames per chunk of SigmaDeltaRuntime.run: bounds the (frames, width)
+# arrays a window holds at once.
+STREAM_CHUNK = 1000
+
+
 class SigmaDeltaRuntime:
     """Streaming state for the event-driven executor.
 
@@ -468,7 +470,8 @@ class SigmaDeltaRuntime:
     pre-activation u seeded with the bias.  Each frame sends the change in
     the rounded input as integer events, so activation(u) is what
     forward_rounding computes on the current frame alone, and an unchanged
-    input costs zero additions at the layers it leaves unchanged.
+    input costs zero additions at the layers it leaves unchanged.  step
+    takes one frame; run takes a window from the same state.
 
     A layer whose changed rows exceed DENSE_DELTA_SHARE of its inputs adds
     the dense delta product; otherwise it gathers only the changed rows of
@@ -478,13 +481,11 @@ class SigmaDeltaRuntime:
 
     A frame is refused (_check_events) unless, per layer,
     L1(round(k*a)) * max|W/k| + max|b| and L1(change) * max|W/k| stay below
-    the layer's limit, the rule sigma_delta_stream applies; W/k, the bias
-    and these bounds are the layer's grid (LayerSpec.grid), read once at
-    construction.  A step is all-or-nothing: a misshapen frame is rejected
-    before any work, a non-finite one fails the first layer's check, and a
-    step that raises (a refused frame, or an activity that cannot record
-    the frame) leaves the state, frame count, ledger and activity as they
-    were.
+    the layer's limit; these bounds are the layer's grid (LayerSpec.grid).
+    step and run are all-or-nothing: misshapen frames are rejected before
+    any work, and a call that raises (a refused or non-finite frame, or an
+    activity that cannot record the frames) leaves the state, frame count,
+    ledger and activity as they were.
     """
 
     def __init__(self, net):
@@ -536,55 +537,57 @@ class SigmaDeltaRuntime:
         self.frames += 1
         return a.copy()
 
+    def run(self, frames, ledger=None, activity=None):
+        """step over the rows of frames, in order, from this runtime's state;
+        returns the per-frame outputs.
 
-# Frames per chunk of sigma_delta_stream: bounds the (frames, width) arrays
-# it holds at once.
-STREAM_CHUNK = 1000
+        The step's integral is exactly the rounding pre-activation
+        s @ W/k + b, s = round(k*a), so a window is the rounding pass over
+        chunks of STREAM_CHUNK frames.  A frame's event L1 is the row sum of
+        |diff(s)| along time, from the state's s, then from a copy of the
+        chunk before's last row.  Outputs, ledger, activity and state are
+        the step's to the bit; the state follows from the last row alone:
+        prev = s, u = s @ W/k + b, and the bound L1(s), exact where the
+        step's may be larger.  A window with a frame the step would refuse
+        raises ValueError before anything is charged or committed.
+        """
+        X = _check_frames(frames, self.net.input_dim)
+        out = np.empty((X.shape[0], self.net.output_dim))
+        if not len(X):
+            return out
+        l1 = np.empty((X.shape[0], len(self.net.layers)), dtype=np.int64)
+        prev, bounds = list(self._prev), list(self._bounds)
+        for lo in range(0, X.shape[0], STREAM_CHUNK):
+            rows = slice(lo, lo + STREAM_CHUNK)
+            for i, (layer, s, a) in enumerate(_passes(self.net, X[rows], True)):
+                # diff(s, prepend=prev[i]) without np.diff's copy; only its
+                # row L1s are needed, so |d| and then |s| reuse it
+                d = np.empty_like(s)
+                np.subtract(s[0], prev[i], out=d[0])
+                np.subtract(s[1:], s[:-1], out=d[1:])
+                n = np.abs(d, out=d).sum(axis=1)
+                s_l1 = np.abs(s, out=d).sum(axis=1)
+                _check_events(n.max(), s_l1.max(), layer.grid.headroom)
+                l1[rows, i] = n
+                prev[i], bounds[i] = s[-1].copy(), float(s_l1[-1])
+                del s, d
+            out[rows] = a
+        if activity is not None:
+            activity.record_frames(l1=l1)
+        if ledger is not None:
+            # Python ints, as the step adds them: int64 sums could wrap
+            ledger.int_adds += sum(n * d for n, d in zip(
+                l1.sum(axis=0, dtype=object), self.net.dims[1:]))
+        self._prev, self._bounds = prev, bounds
+        self._u = [p @ l.grid.weights + l.grid.bias
+                   for p, l in zip(prev, self.net.layers)]
+        self.frames += len(X)
+        return out
 
 
 def sigma_delta_stream(net, frames, ledger=None, activity=None):
-    """Run the event-driven network over the rows of frames, in order, from
-    a fresh runtime.  Returns the per-frame outputs.
-
-    The step's integral is exactly the rounding pre-activation
-    s @ W/k + b, s = round(k*a), so the stream is the rounding pass over
-    chunks of STREAM_CHUNK frames.  Per layer it takes the change
-    d = diff(s) along time, from the last s of the chunk before, kept as
-    a copy of that row so that the chunk's s is freed; a frame's event L1
-    is the row sum of |d|.  Outputs, ledger and activity are the step's
-    to the bit.
-
-    A window is all-or-nothing: it is checked whole (_check_frames), and a
-    window with a frame the step would refuse (_check_events, against the
-    bounds each layer's grid computed once) raises ValueError before
-    anything is charged.
-    """
-    X = _check_frames(frames, net.input_dim)
-    out = np.empty((X.shape[0], net.output_dim))
-    l1 = np.empty((X.shape[0], len(net.layers)), dtype=np.int64)
-    prev = [np.zeros(l.d_in) for l in net.layers]
-    for lo in range(0, X.shape[0], STREAM_CHUNK):
-        rows = slice(lo, lo + STREAM_CHUNK)
-        for i, (layer, s, a) in enumerate(_passes(net, X[rows], snap=True)):
-            # diff(s, prepend=prev[i]) without np.diff's concatenated copy;
-            # only its row L1s are needed, so |d| and then |s| reuse it
-            d = np.empty_like(s)
-            np.subtract(s[0], prev[i], out=d[0])
-            np.subtract(s[1:], s[:-1], out=d[1:])
-            n = np.abs(d, out=d).sum(axis=1)
-            s_l1 = np.abs(s, out=d).sum(axis=1).max()
-            _check_events(n.max(), s_l1, layer.grid.headroom)
-            l1[rows, i] = n
-            prev[i] = s[-1].copy()
-            del s, d
-        out[rows] = a
-    if activity is not None:
-        activity.record_frames(l1=l1)
-    if ledger is not None:
-        # Python ints, as the step adds them: int64 sums could wrap
-        ledger.int_adds += sum(n * d for n, d in
-                               zip(l1.sum(axis=0, dtype=object), net.dims[1:]))
-    return out
+    """SigmaDeltaRuntime.run on a fresh runtime: the per-frame outputs."""
+    return SigmaDeltaRuntime(net).run(frames, ledger=ledger, activity=activity)
 
 
 def bake_scales(net):

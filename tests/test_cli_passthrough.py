@@ -139,6 +139,8 @@ REFUSED = {
     "check-equivalence --td-tol -1": ["check-equivalence", "--td-tol", "-1",
                                       "--frames", "20"],
     "check-equivalence --sd-tol nan": ["check-equivalence", "--sd-tol", "nan"],
+    "check-equivalence --out ''": ["check-equivalence", "--out", "",
+                                   "--frames", "20"],
     **{f"check-equivalence --net {name}": ["check-equivalence", "--net",
                                            f"{{{name}}}"]
        for name in ("malformed", "json_list", "no_layers", "no_weights",

@@ -12,6 +12,13 @@ the stream the same LayerActivity.  Where the step refuses a frame, the
 stream refuses the window, and the step's later outputs are those of a
 fresh runtime fed only the frames it took.  Every fifth net also goes
 through save_network and load_network, bit for bit.
+
+Each stream also goes through one runtime in random run windows and step
+calls (split by a generator of its own, so the nets and streams drawn do
+not depend on it).  A call raises exactly when it holds a frame the step
+refused, leaving the runtime and its activity as they were; the frames of
+a refused window are then stepped one by one.  The outputs and the
+LayerActivity are step_all's.
 """
 
 import numpy as np
@@ -68,13 +75,55 @@ def step_all(net, X):
     return outs, taken, act
 
 
+def snapshot(rt, act):
+    return ([p.tobytes() for p in rt._prev], [u.tobytes() for u in rt._u],
+            list(rt._bounds), rt.frames, list(act.l1), act.frames)
+
+
+def split_run(net, X, refused, rng):
+    """X through one runtime in run windows of 1-10 frames and step calls,
+    at random: (outputs of the frames it took, its activity)."""
+    rt, act = SigmaDeltaRuntime(net), LayerActivity.for_network(net)
+    outs, lo = [], 0
+    while lo < len(X):
+        by_step = rng.random() < 0.2
+        hi = min(len(X), lo + (1 if by_step else int(rng.integers(1, 21))))
+        before = snapshot(rt, act)
+        try:
+            if by_step:
+                got = [rt.step(X[lo], activity=act)]
+            else:
+                got = list(rt.run(X[lo:hi], activity=act))
+        except ValueError:
+            assert not refused.isdisjoint(range(lo, hi))
+            assert snapshot(rt, act) == before
+            for t in range(lo, hi):
+                try:
+                    outs.append(rt.step(X[t], activity=act))
+                except ValueError:
+                    assert t in refused
+        else:
+            assert refused.isdisjoint(range(lo, hi))
+            outs += got
+        lo = hi
+    return outs, act
+
+
 def test_seeded_search(tmp_path):
     rng = np.random.default_rng(2024)
+    split_rng = np.random.default_rng(2025)
     accepted = refused = 0
     for case in range(CASES):
         net = draw_net(rng)
         X = draw_frames(rng, net)
         outs, taken, act = step_all(net, X)
+
+        split_outs, split_act = split_run(
+            net, X, set(range(len(X))) - set(taken), split_rng)
+        assert len(split_outs) == len(outs)
+        assert all(np.array_equal(a, b) for a, b in zip(split_outs, outs))
+        assert list(split_act.l1) == list(act.l1)
+        assert split_act.frames == act.frames == len(taken)
 
         if case % 5 == 0:  # a file each: the round trip is the slow part
             save_network(net, tmp_path / "net.json")
