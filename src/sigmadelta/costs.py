@@ -44,6 +44,10 @@ class LayerActivity:
     sigma-delta networks).  Totals are sums over all recorded frames;
     divide by .frames for per-frame means.  They are Python ints in object
     arrays, so they stay exact where int64 sums would wrap.
+
+    Every record goes through _add.  record_frame and record_frames check
+    the counts first; SigmaDeltaRuntime.step calls _add itself, as its
+    counts are int() of finite, non-negative L1s.
     """
 
     def __init__(self, fanouts):
@@ -60,49 +64,56 @@ class LayerActivity:
     def for_network(cls, net):
         return cls(net.dims[1:])
 
+    def _add(self, kind, counts, frames):
+        """Add counts, one non-negative Python int per layer, as the totals
+        of that many frames of kind; the other kind or the wrong number of
+        layers raises ValueError, with nothing recorded."""
+        if self._kind not in (None, kind):
+            raise ValueError(
+                f"this activity records {self._kind} frames, got {kind}")
+        if len(counts) != len(self.fanouts):
+            raise ValueError(
+                f"expected {len(self.fanouts)} per-layer values, got {len(counts)}")
+        self._kind = kind
+        totals = self.l1 if kind == "l1" else self.nonzero
+        for i, n in enumerate(counts):
+            totals[i] += n
+        self.frames += frames
+
     def record_frame(self, nonzero=None, l1=None):
         """Add one frame's per-layer counts, which must be non-negative
         integers (ValueError otherwise, with nothing recorded)."""
         if (nonzero is None) == (l1 is None):
             raise ValueError("record exactly one of nonzero= or l1= per frame")
-        kind = "nonzero" if nonzero is not None else "l1"
-        if self._kind is not None and self._kind != kind:
-            raise ValueError(
-                f"this activity records {self._kind} frames, got {kind}")
         values = list(nonzero if nonzero is not None else l1)
-        if len(values) != len(self.fanouts):
-            raise ValueError(
-                f"expected {len(self.fanouts)} per-layer values, got {len(values)}")
         try:
             # int(), not int64: adding a numpy integer would make a total int64
             counts = [int(v) for v in values]
         except (TypeError, ValueError, OverflowError):
             counts = None
-        if counts != values or min(counts) < 0:
+        if counts != values or min(counts, default=0) < 0:
             raise ValueError(f"counts must be non-negative integers, got {values}")
-        self._kind = kind  # only once a frame is valid
-        target = self.nonzero if nonzero is not None else self.l1
-        for i, v in enumerate(counts):
-            target[i] += v
-        self.frames += 1
+        self._add("nonzero" if nonzero is not None else "l1", counts, 1)
 
     def record_frames(self, nonzero=None, l1=None):
         """record_frame for each row of a (frames, layers) array.  Totals
-        are sums over frames, so this records the column sums as one frame
-        and counts it as all of them.  Every entry must be a non-negative
-        integer."""
+        are sums over frames, so this adds the column sums once and counts
+        them as all the frames.  Every entry must be a non-negative
+        integer.  No rows record nothing, and leave the kind as it was."""
         if (nonzero is None) == (l1 is None):
             raise ValueError("record exactly one of nonzero= or l1=")
-        kind = "nonzero" if nonzero is not None else "l1"
         values = np.asarray(nonzero if nonzero is not None else l1)
-        if values.ndim != 2:
-            raise ValueError(
-                f"expected a (frames, layers) array, got shape {values.shape}")
+        if values.ndim != 2 or values.shape[1] != len(self.fanouts):
+            raise ValueError(f"expected a (frames, {len(self.fanouts)}) array, "
+                             f"got shape {values.shape}")
         # entry by entry: a column sum could hide a fractional or negative one
-        if not np.all((values >= 0) & (values == np.trunc(values))):
+        if not np.all((values >= 0) & (values < np.inf)
+                      & (values == np.trunc(values))):
             raise ValueError("counts must be non-negative integers")
-        self.record_frame(**{kind: values.sum(axis=0, dtype=object)})
-        self.frames += values.shape[0] - 1
+        if len(values):
+            self._add("nonzero" if nonzero is not None else "l1",
+                      [int(v) for v in values.sum(axis=0, dtype=object)],
+                      len(values))
 
     def __repr__(self):
         return (f"LayerActivity(frames={self.frames}, kind={self._kind}, "

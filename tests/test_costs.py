@@ -8,7 +8,8 @@ from sigmadelta.costs import (LayerActivity, energy, flops_dense,
                               write_report_csv)
 from sigmadelta.kernels import OpLedger
 from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
-                                rounding_batch, sigma_delta_stream)
+                                dense_batch, rounding_batch,
+                                sigma_delta_stream)
 from tests.test_network import random_net
 
 
@@ -168,12 +169,34 @@ class TestActivity:
         for bad in ([1, 2], [[1, 2, 3]], np.zeros((2, 2, 2))):
             with pytest.raises(ValueError):
                 act.record_frames(l1=bad)
-        act.record_frames(l1=np.zeros((0, 2)))
-        assert act.frames == 0
+        with pytest.raises(ValueError):  # no rows, but the wrong width
+            act.record_frames(l1=np.zeros((0, 3)))
+        act.record_frames(nonzero=np.zeros((0, 2)))  # records no kind
+        act.record_frames(l1=[[1, 1]])
         with pytest.raises(ValueError):
             act.record_frames(nonzero=[[1, 1]])
+        assert list(act.l1) == [1, 1] and act.frames == 1
         with pytest.raises(ValueError):
             act.record_frames()
+
+    def test_empty_batch_records_nothing(self):
+        # an empty batch leaves the kind as it was, as an empty run window
+        # does: it neither fixes a fresh activity's kind nor refuses the
+        # other kind
+        net = random_net(np.random.default_rng(6), [6, 4, 2])
+        empty, X = np.zeros((0, 6)), np.random.default_rng(7).random((5, 6))
+        for batch, other in ((rounding_batch, dense_batch),
+                             (dense_batch, rounding_batch)):
+            act = LayerActivity.for_network(net)
+            assert batch(net, empty, act).shape == (0, 2)
+            other(net, X, act)
+            l1, nonzero = act.l1.copy(), act.nonzero.copy()
+            assert batch(net, empty, act).shape == (0, 2)
+            assert act.frames == 5
+            assert np.array_equal(act.l1, l1)
+            assert np.array_equal(act.nonzero, nonzero)
+            with pytest.raises(ValueError):
+                batch(net, X, act)
 
 
 class TestEnergy:

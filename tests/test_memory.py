@@ -2,7 +2,8 @@
 
 Each pass holds one s-sized array per layer: the rounding runs in place in
 64-row blocks, and the bias and ReLU are applied in place to the product,
-and the previous layer's s is freed before the next is formed.
+and the previous layer's s is freed before the next is formed.  The stream
+takes its row L1s in 64-row blocks of one scratch array.
 gen_random_stream smooths its one draw of frames in place.  Peaks are
 tracemalloc's, over a second call (the first builds each layer's grid).
 """
@@ -57,7 +58,7 @@ def rounding_batch_counted(net, X):
 @pytest.mark.parametrize("run, bound", [(dense_batch, 1.0),
                                         (rounding_batch, 1.7),
                                         (rounding_batch_counted, 1.7),
-                                        (sigma_delta_stream, 0.9)],
+                                        (sigma_delta_stream, 0.8)],
                          ids=["dense_batch", "rounding_batch",
                               "rounding_batch-activity", "sigma_delta_stream"])
 def test_batch_pass_peak(net_and_frames, run, bound):
@@ -65,6 +66,7 @@ def test_batch_pass_peak(net_and_frames, run, bound):
     # frame-sized rounding temporaries, they read 1.34 and 3.00; an
     # activity's row sums of an |s| copy read 2.52; with the previous
     # layer's s held while the next was formed, the rounding pass read 2.19
-    # (2.22 with an activity) and the stream 0.995
+    # (2.22 with an activity) and the stream 0.995; the stream read 0.812
+    # with an s-sized array for the row L1s, 0.764 with a 64-row one
     net, X = net_and_frames
     assert peak_frames(lambda: run(net, X)) < bound

@@ -624,6 +624,26 @@ class TestSerialization:
             load_network(path)
 
 
+def test_vector_softmax_has_the_batch_formula_bits():
+    # a frame takes the 1-D reductions; they must give the bits of the
+    # keepdims formula that the batch path keeps
+    rng = np.random.default_rng(43)
+    vectors = [np.array([2.5]), np.array([-1e300]), np.full(7, -3.25),
+               np.full(12, 1e-300), np.array([1e300, -1e300, 5e299])]
+    for n in range(1, 40):
+        for scale in (1e-300, 1e-3, 1.0, 300.0, 1e5):
+            vectors.append(scale * rng.standard_normal(n))
+    for u in vectors:
+        kept = u.copy()
+        want = np.exp(u - np.max(u, axis=-1, keepdims=True))
+        want = want / want.sum(axis=-1, keepdims=True)
+        got = softmax(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(u, kept)
+        assert np.array_equal(softmax(list(u)), got)
+
+
 def test_softmax_is_stable_and_normalized():
     u = np.array([1000.0, 1000.0, 999.0])
     p = softmax(u)
@@ -680,3 +700,23 @@ class TestRejectedFrame:
                 assert act.frames == (0 if case == "overflow" else 1)
             assert np.array_equal(hit.step(x, ledger=led), clean.step(x))
         assert hit.frames == clean.frames == 12
+
+    @pytest.mark.parametrize("fanouts", [(10,), (10, 5, 5)])
+    def test_sigma_delta_activity_with_wrong_layer_count(self, fanouts):
+        # the step records its own counts without the per-value checks, but
+        # still refuses an activity of the wrong length before it commits
+        rng = np.random.default_rng(28)
+        net = gen_random_network(rng, dims=(20, 10, 5), factors=(1.0, 1.0))
+        rt, led, act = SigmaDeltaRuntime(net), OpLedger(), LayerActivity(fanouts)
+        for x in rng.standard_normal((4, 20)):
+            rt.step(x, ledger=led)
+        prev, u = [p.copy() for p in rt._prev], [v.copy() for v in rt._u]
+        bounds, ops = list(rt._bounds), led.total_ops
+        with pytest.raises(ValueError):
+            rt.step(rng.standard_normal(20), ledger=led, activity=act)
+        assert rt.frames == 4 and led.total_ops == ops
+        assert all(np.array_equal(a, b) for a, b in zip(rt._prev, prev))
+        assert all(np.array_equal(a, b) for a, b in zip(rt._u, u))
+        assert rt._bounds == bounds
+        assert act.frames == 0 and act._kind is None
+        assert not act.l1.any() and not act.nonzero.any()
