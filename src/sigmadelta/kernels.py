@@ -6,6 +6,8 @@ pushing N unit events into a width-m layer costs N*m additions and no
 multiplications, which is where all downstream savings come from.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -22,7 +24,8 @@ class OpLedger:
     Counters are plain Python ints and only ever grow.  The split records
     which path produced an operation (dense float kernels vs integer-event
     accumulation); how a count is priced is the cost model's business, not
-    the ledger's.
+    the ledger's.  A starting count must be a finite, non-negative integral
+    value (a Python or numpy int, or an integral float), or ValueError.
     """
 
     __slots__ = ("float_adds", "float_mults", "int_adds", "int_mults")
@@ -30,12 +33,11 @@ class OpLedger:
     def __init__(self, float_adds=0, float_mults=0, int_adds=0, int_mults=0):
         for name, v in (("float_adds", float_adds), ("float_mults", float_mults),
                         ("int_adds", int_adds), ("int_mults", int_mults)):
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-        self.float_adds = int(float_adds)
-        self.float_mults = int(float_mults)
-        self.int_adds = int(int_adds)
-        self.int_mults = int(int_mults)
+            # false for NaN and inf; int() would truncate a fraction
+            if not (0 <= v < math.inf and v == int(v)):
+                raise ValueError(
+                    f"{name} must be a finite, non-negative integer, got {v!r}")
+            setattr(self, name, int(v))
 
     @property
     def total_adds(self):

@@ -69,18 +69,31 @@ __all__ = [
 ACTIVATIONS = ("relu", "identity", "softmax")
 
 
+def _const(v):
+    """v as a read-only 0-d float64 array: a ufunc takes it as it is, where
+    a Python float would be converted on every call."""
+    c = np.full((), v, dtype=np.float64)
+    c.flags.writeable = False
+    return c
+
+
+_ZERO = _const(0.0)
+
+
 def relu(u):
-    return np.maximum(u, 0.0)
+    """max(u, 0) as a new array.  The zero is a _const, so under NumPy 2 a
+    float32 u comes back as float64."""
+    return np.maximum(u, _ZERO)
 
 
 def softmax(u):
-    """Softmax over the last axis.  A frame (1-D) skips a batch's keepdims
-    shapes, with the same bits (4.6 against 7.5 us on a 10-vector, on
-    2 vCPUs)."""
+    """Softmax over the last axis, as a new array.  A frame (1-D) skips a
+    batch's keepdims shapes and the ndarray method wrappers, with the same
+    bits (the same max and pairwise sum)."""
     u = np.asarray(u)
     if u.ndim == 1:
-        e = np.exp(u - u.max())
-        e /= e.sum()
+        e = np.exp(u - np.maximum.reduce(u))
+        e /= np.add.reduce(e)
         return e
     e = np.exp(u - np.max(u, axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -436,10 +449,10 @@ DENSE_DELTA_SHARE = 1 / 5
 
 
 def _layer_consts(net):
-    """What the sigma-delta step reads of each layer: k, W/k, the
-    activation, d_out, the changed-row count past which the dense delta
-    product runs, and the headroom of the layer's grid."""
-    return [(l.scale, l.grid.weights, l.activation, l.d_out,
+    """What the sigma-delta step reads of each layer: k (a _const), W/k,
+    the activation, d_out, the changed-row count past which the dense
+    delta product runs, and the headroom of the layer's grid."""
+    return [(_const(l.scale), l.grid.weights, l.activation, l.d_out,
              DENSE_DELTA_SHARE * l.d_in, l.grid.headroom) for l in net.layers]
 
 
@@ -483,9 +496,12 @@ class SigmaDeltaRuntime:
 
     A layer whose changed rows exceed DENSE_DELTA_SHARE of its inputs adds
     the dense delta product; otherwise it gathers only the changed rows of
-    W/k.  Every sum is exact on the layer's grid, so both kernels give
-    forward_rounding's bits, and event counts, ledger charges and
-    LayerActivity do not depend on which ran.
+    W/k, and the event L1 is summed over the gathered changes alone.  Every
+    sum is exact on the layer's grid, and the L1 is a sum of integers,
+    exact in any order, so both kernels give forward_rounding's bits, and
+    event counts, ledger charges and LayerActivity do not depend on which
+    ran.  step returns an array of the caller's own: writing into it
+    cannot reach the runtime's state.
 
     A frame is refused (_check_events) unless, per layer,
     L1(round(k*a)) * max|W/k| + max|b| and L1(change) * max|W/k| stay below
@@ -517,26 +533,30 @@ class SigmaDeltaRuntime:
                 self._consts, self._prev, self._u, self._bounds):
             r = round_half_away(a * k)
             d = r - prev
-            l1 = float(np.abs(d).sum())
+            # NaN != 0, so a NaN or inf change is among the changed rows
+            idx = (d != 0).nonzero()[0]
+            gather = idx.size <= dense_rows
+            if gather:
+                d = d[idx]
+            # |d| holds integers: summed in any order, exactly below 2**53,
+            # and to at least 2**53 past it, where _check_events refuses
+            l1 = float(np.add.reduce(np.abs(d)))
             # L1(r) <= L1(prev) + l1, so the rule holds for L1(r) if it
             # holds for that bound; r's own L1 is summed only if it does not
             bound += l1
             w, b, limit = headroom
             if not bound * w + b < limit:
-                bound = float(np.abs(r).sum())
+                bound = float(np.add.reduce(np.abs(r)))
             _check_events(l1, bound, headroom)
-            idx = d.nonzero()[0]
-            if idx.size > dense_rows:
-                u = u + d @ wk
-            else:
-                u = u + d[idx] @ wk.take(idx, axis=0)
+            p = d @ wk.take(idx, axis=0) if gather else d @ wk
+            p += u  # a new integral: u, kept as stored, is never written
             n = int(l1)
             l1s.append(n)
             adds += n * d_out
             prevs.append(r)
-            us.append(u)
+            us.append(p)
             bounds.append(bound)
-            a = apply_activation(act, u)
+            a = apply_activation(act, p)
         if activity is not None:
             # l1s are int() of finite, non-negative L1s: no per-value check
             activity._add("l1", l1s, 1)
@@ -544,7 +564,9 @@ class SigmaDeltaRuntime:
             ledger.int_adds += adds
         self._prev, self._u, self._bounds = prevs, us, bounds
         self.frames += 1
-        return a.copy()
+        # relu and softmax return new arrays; identity returns the stored
+        # integral, which the caller must not be handed
+        return a.copy() if a is p else a
 
     def run(self, frames, ledger=None, activity=None):
         """step over the rows of frames, in order, from this runtime's state;

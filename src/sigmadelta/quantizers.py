@@ -21,13 +21,21 @@ __all__ = [
 ]
 
 
+# 1/2 as a read-only 0-d array: a Python float would be converted on
+# every call
+_HALF = np.full((), 0.5)
+_HALF.flags.writeable = False
+
+
 def round_half_away(x):
     """Round to nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1).
-    Like C's round(), the result keeps the sign of x, zeros included."""
+    Like C's round(), the result keeps the sign of x, zeros included.  It
+    is a new array, copysign(1/2, x) rounded in place; x is not written."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.copysign(0.5, x, out=np.empty_like(x))  # one buffer, in place
+    y = np.copysign(_HALF, x)
     y += x  # exact sign symmetry: -a - 0.5 rounds to -(a + 0.5)
-    return np.trunc(y, out=y)
+    # a ufunc gives a 0-d result as a scalar, which has no buffer to write
+    return np.trunc(y, out=y) if x.ndim else np.asarray(np.trunc(y))
 
 
 class _Stateful:

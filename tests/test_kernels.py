@@ -14,6 +14,21 @@ class TestOpLedger:
         with pytest.raises(ValueError):
             OpLedger(float_adds=-1)
 
+    @pytest.mark.parametrize("bad", [1.9, 2.5, 0.5, -0.5, np.float64(1.5),
+                                     np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["float_adds", "float_mults",
+                                       "int_adds", "int_mults"])
+    def test_fractional_or_non_finite_counts_rejected(self, field, bad):
+        # int() would truncate a fraction: 1.9 would count as 1
+        with pytest.raises(ValueError):
+            OpLedger(**{field: bad})
+
+    def test_integral_counts_of_any_kind_accepted(self):
+        led = OpLedger(np.int64(5), 2.0, 10 ** 30, np.uint8(3))
+        assert (led.float_adds, led.float_mults, led.int_adds,
+                led.int_mults) == (5, 2, 10 ** 30, 3)
+        assert all(type(getattr(led, f)) is int for f in OpLedger.__slots__)
+
     def test_totals(self):
         led = OpLedger(1, 2, 3, 4)
         assert led.total_adds == 4

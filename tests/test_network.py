@@ -485,6 +485,30 @@ class TestSigmaDeltaNet:
         assert act.l1[0] == want
         assert led.int_adds == flops_sigma_delta(act)
 
+    @pytest.mark.parametrize("acts", [
+        ["relu", "relu"], ["relu", "identity"], ["relu", "softmax"],
+        ["identity", "relu"]], ids="-".join)
+    def test_output_is_the_callers_own(self, acts):
+        # the step hands out the identity's integral only as a copy: writing
+        # into every output leaves the state, and so every later output,
+        # as a clean runtime's fed the same frames
+        rng = np.random.default_rng(27)
+        net = random_net(rng, [24, 16, 12], acts=acts)
+        rt, clean = SigmaDeltaRuntime(net), SigmaDeltaRuntime(net)
+        x = rng.standard_normal(24)
+        for t in range(120):
+            # jumps, nudges and held frames: both kernels and empty changes
+            if t % 4 == 0:
+                x = rng.standard_normal(24)
+            elif t % 4 == 1:
+                x = x.copy()
+                x[rng.integers(24, size=3)] += rng.standard_normal(3)
+            y, want = rt.step(x), clean.step(x)
+            assert y.tobytes() == want.tobytes()
+            y[...] = np.nan
+            for got, ref in zip(rt._prev + rt._u, clean._prev + clean._u):
+                assert got.tobytes() == ref.tobytes()
+
     def test_reset_reloads_bias(self):
         rng = np.random.default_rng(18)
         net = random_net(rng, [5, 4])

@@ -7,11 +7,12 @@ random net (gen_random_network, rng 0) at scales (8, 4, 4), over one
 2400-frame stream per smoothness 0, 0.95 and 0.999 (gen_random_stream,
 rng 1).  Each variant feeds the whole stream to one fresh runtime: step
 frame by frame, or run over consecutive windows of 1, 4, 16, 64 and 256
-frames.  Before timing, it asserts that every variant's outputs and end
-state (previous rounded inputs, integrals and frame count) are
-array_equal to the step's.  It prints a Markdown table of microseconds
-per frame, each the minimum of 5 rounds; the variants run in turn, in
-reverse order on every other round.  BLAS runs on one thread.
+frames, and records its events in a LayerActivity.  Before timing, it
+asserts that every variant's outputs, end state (previous rounded inputs,
+integrals and frame count) and LayerActivity.l1 are array_equal to the
+step's.  It prints a Markdown table of microseconds per frame, each the
+minimum of 5 rounds; the variants run in turn, in reverse order on every
+other round.  BLAS runs on one thread.
 """
 
 import os
@@ -25,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from sigmadelta.costs import LayerActivity  # noqa: E402
 from sigmadelta.data import gen_random_network, gen_random_stream  # noqa: E402
 from sigmadelta.network import SigmaDeltaRuntime  # noqa: E402
 
@@ -35,23 +37,24 @@ ROUNDS = 5
 
 
 def stepped(net, X):
-    rt = SigmaDeltaRuntime(net)
-    return np.array([rt.step(x) for x in X]), rt
+    rt, act = SigmaDeltaRuntime(net), LayerActivity.for_network(net)
+    return np.array([rt.step(x, activity=act) for x in X]), rt, act
 
 
 def windowed(w):
     def run(net, X):
-        rt = SigmaDeltaRuntime(net)
-        return np.concatenate([rt.run(X[lo:lo + w])
-                               for lo in range(0, len(X), w)]), rt
+        rt, act = SigmaDeltaRuntime(net), LayerActivity.for_network(net)
+        return np.concatenate([rt.run(X[lo:lo + w], activity=act)
+                               for lo in range(0, len(X), w)]), rt, act
     return run
 
 
 def same_end(got, want):
-    (y, rt), (y_want, ref) = got, want
+    (y, rt, act), (y_want, ref, ref_act) = got, want
     return (np.array_equal(y, y_want) and rt.frames == ref.frames
             and all(np.array_equal(a, b) for a, b in zip(rt._prev, ref._prev))
-            and all(np.array_equal(a, b) for a, b in zip(rt._u, ref._u)))
+            and all(np.array_equal(a, b) for a, b in zip(rt._u, ref._u))
+            and np.array_equal(act.l1, ref_act.l1))
 
 
 def main():
