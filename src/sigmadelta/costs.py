@@ -8,6 +8,10 @@ Four closed forms cover the four executors:
   rounding     sum_l |s_l|_L1 * d_{l+1} + d_{l+1} (events plus a bias add)
   sigma-delta  sum_l |s_l|_L1 * d_{l+1}           (bias amortized at reset)
 
+The per-layer totals come from a LayerActivity, which the executors fill
+once per call: nonzero counts for the sparse form, L1s for the other two.
+Layer widths must be integers.
+
 energy prices every op at the paper's 45 nm int32 rates (INT_ADD_PJ,
 INT_MULT_PJ).
 """
@@ -45,13 +49,13 @@ class LayerActivity:
     divide by .frames for per-frame means.  They are Python ints in object
     arrays, so they stay exact where int64 sums would wrap.
 
-    Every record goes through _add.  record_frame and record_frames check
-    the counts first; SigmaDeltaRuntime.step calls _add itself, as its
-    counts are int() of finite, non-negative L1s.
+    dense_batch, rounding_batch and SigmaDeltaRuntime.step and run record
+    through _add, once per call, with the per-layer totals they built; the
+    flops functions refuse an activity of the kind they do not price.
     """
 
     def __init__(self, fanouts):
-        fanouts = tuple(int(d) for d in fanouts)
+        fanouts = _widths(fanouts)
         if not fanouts or any(d < 1 for d in fanouts):
             raise ValueError("fanouts must be positive layer widths")
         self.fanouts = fanouts
@@ -64,65 +68,51 @@ class LayerActivity:
     def for_network(cls, net):
         return cls(net.dims[1:])
 
-    def _add(self, kind, counts, frames):
-        """Add counts, one non-negative Python int per layer, as the totals
-        of that many frames of kind; the other kind or the wrong number of
-        layers raises ValueError, with nothing recorded."""
+    def _totals(self, kind):
+        """The totals of kind ("nonzero" or "l1"); ValueError if this
+        activity records the other kind."""
         if self._kind not in (None, kind):
             raise ValueError(
-                f"this activity records {self._kind} frames, got {kind}")
+                f"this activity records {self._kind} frames, not {kind}")
+        return self.l1 if kind == "l1" else self.nonzero
+
+    def _add(self, kind, counts, frames):
+        """Add counts, the caller's exact per-layer totals as non-negative
+        Python ints (not checked here), as that many frames of kind.  The
+        wrong number of layers, or the other kind, raises ValueError with
+        nothing recorded.  No frames record nothing and leave the kind."""
         if len(counts) != len(self.fanouts):
             raise ValueError(
                 f"expected {len(self.fanouts)} per-layer values, got {len(counts)}")
+        if not frames:
+            return
+        totals = self._totals(kind)
         self._kind = kind
-        totals = self.l1 if kind == "l1" else self.nonzero
         for i, n in enumerate(counts):
             totals[i] += n
         self.frames += frames
-
-    def record_frame(self, nonzero=None, l1=None):
-        """Add one frame's per-layer counts, which must be non-negative
-        integers (ValueError otherwise, with nothing recorded)."""
-        if (nonzero is None) == (l1 is None):
-            raise ValueError("record exactly one of nonzero= or l1= per frame")
-        values = list(nonzero if nonzero is not None else l1)
-        try:
-            # int(), not int64: adding a numpy integer would make a total int64
-            counts = [int(v) for v in values]
-        except (TypeError, ValueError, OverflowError):
-            counts = None
-        if counts != values or min(counts, default=0) < 0:
-            raise ValueError(f"counts must be non-negative integers, got {values}")
-        self._add("nonzero" if nonzero is not None else "l1", counts, 1)
-
-    def record_frames(self, nonzero=None, l1=None):
-        """record_frame for each row of a (frames, layers) array.  Totals
-        are sums over frames, so this adds the column sums once and counts
-        them as all the frames.  Every entry must be a non-negative
-        integer.  No rows record nothing, and leave the kind as it was."""
-        if (nonzero is None) == (l1 is None):
-            raise ValueError("record exactly one of nonzero= or l1=")
-        values = np.asarray(nonzero if nonzero is not None else l1)
-        if values.ndim != 2 or values.shape[1] != len(self.fanouts):
-            raise ValueError(f"expected a (frames, {len(self.fanouts)}) array, "
-                             f"got shape {values.shape}")
-        # entry by entry: a column sum could hide a fractional or negative one
-        if not np.all((values >= 0) & (values < np.inf)
-                      & (values == np.trunc(values))):
-            raise ValueError("counts must be non-negative integers")
-        if len(values):
-            self._add("nonzero" if nonzero is not None else "l1",
-                      [int(v) for v in values.sum(axis=0, dtype=object)],
-                      len(values))
 
     def __repr__(self):
         return (f"LayerActivity(frames={self.frames}, kind={self._kind}, "
                 f"fanouts={self.fanouts})")
 
 
+def _widths(dims):
+    """dims as a tuple of Python ints; ValueError for any that is not an
+    integral value (2.7, NaN, inf), which int() would truncate or fail on."""
+    dims = tuple(dims)
+    try:
+        widths = tuple(int(d) for d in dims)
+    except (TypeError, ValueError, OverflowError):
+        widths = None
+    if widths != dims:
+        raise ValueError(f"layer widths must be integers, got {list(dims)}")
+    return widths
+
+
 def flops_dense(dims):
     """Ops for a dense pass through the given layer widths (input first)."""
-    dims = [int(d) for d in dims]
+    dims = _widths(dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output widths")
     return 2 * sum(a * b for a, b in zip(dims, dims[1:]))
@@ -130,18 +120,18 @@ def flops_dense(dims):
 
 def flops_sparse(activity):
     """Dense-pass ops when rows of zero activation are skipped entirely."""
-    return int(2 * (activity.nonzero * activity.fanouts).sum())
+    return int(2 * (activity._totals("nonzero") * activity.fanouts).sum())
 
 
 def flops_rounding(activity):
     """Event additions plus one bias add per layer per frame."""
-    return int((activity.l1 * activity.fanouts).sum()
+    return int((activity._totals("l1") * activity.fanouts).sum()
                + activity.frames * sum(activity.fanouts))
 
 
 def flops_sigma_delta(activity):
     """Event additions only; the bias is integrated once at stream reset."""
-    return int((activity.l1 * activity.fanouts).sum())
+    return int((activity._totals("l1") * activity.fanouts).sum())
 
 
 def energy(ledger):

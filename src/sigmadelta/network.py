@@ -18,9 +18,9 @@ sigma_delta_stream from a fresh runtime, run the last over a window of
 frames as that rounding loop, with the step's bits, counts and end state.
 
 The per-frame passes count nothing: a dense frame costs the constant
-flops_dense(net.dims), and rounding_batch records in a LayerActivity what
-forward_rounding's frames cost.  The sigma-delta step and run record
-their events in a LayerActivity (and an OpLedger, if given one).
+flops_dense(net.dims).  dense_batch, rounding_batch and the sigma-delta
+step and run record a call's per-layer totals in a LayerActivity, once
+per call (and the last two charge an OpLedger from them, if given one).
 
 The rounding and sigma-delta executors compute on each layer's grid (see
 GRID_BITS), where every sum below the layer's limit is exact.  The
@@ -37,6 +37,7 @@ move a layer's parameters after it is built.
 import base64
 import json
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -376,9 +377,9 @@ def dense_batch(net, X, activity=None):
     nonzero = []
     for _, s, a in _passes(net, _check_frames(X, net.input_dim), snap=False):
         if activity is not None:
-            nonzero.append(np.count_nonzero(s, axis=1))
+            nonzero.append(int(np.count_nonzero(s)))
     if activity is not None:
-        activity.record_frames(nonzero=np.stack(nonzero, axis=1))
+        activity._add("nonzero", nonzero, len(a))
     return a
 
 
@@ -394,10 +395,11 @@ def rounding_batch(net, X, activity=None):
             if not np.all(l1 < 2.0 ** 63):  # false for inf and NaN too
                 raise ValueError("input rows must have event counts that "
                                  "fit int64")
-            l1s.append(l1.astype(np.int64))
+            # Python ints: an int64 sum over rows could wrap
+            l1s.append(l1.astype(np.int64).sum(dtype=object))
         del s
     if activity is not None:
-        activity.record_frames(l1=np.stack(l1s, axis=1))
+        activity._add("l1", l1s, len(a))
     return a
 
 
@@ -450,9 +452,9 @@ DENSE_DELTA_SHARE = 1 / 5
 
 def _layer_consts(net):
     """What the sigma-delta step reads of each layer: k (a _const), W/k,
-    the activation, d_out, the changed-row count past which the dense
-    delta product runs, and the headroom of the layer's grid."""
-    return [(_const(l.scale), l.grid.weights, l.activation, l.d_out,
+    the activation, the changed-row count past which the dense delta
+    product runs, and the headroom of the layer's grid."""
+    return [(_const(l.scale), l.grid.weights, l.activation,
              DENSE_DELTA_SHARE * l.d_in, l.grid.headroom) for l in net.layers]
 
 
@@ -515,6 +517,7 @@ class SigmaDeltaRuntime:
     def __init__(self, net):
         self.net = net
         self._consts = _layer_consts(net)
+        self._fanouts = net.dims[1:]
         self.reset()
 
     def reset(self):
@@ -528,8 +531,8 @@ class SigmaDeltaRuntime:
         # no finiteness check: a NaN or inf frame has a NaN or inf L1
         a = _check_shape(self.net, x)
         # the new state is built aside and committed once nothing can raise
-        prevs, us, bounds, l1s, adds = [], [], [], [], 0
-        for (k, wk, act, d_out, dense_rows, headroom), prev, u, bound in zip(
+        prevs, us, bounds, l1s = [], [], [], []
+        for (k, wk, act, dense_rows, headroom), prev, u, bound in zip(
                 self._consts, self._prev, self._u, self._bounds):
             r = round_half_away(a * k)
             d = r - prev
@@ -550,18 +553,12 @@ class SigmaDeltaRuntime:
             _check_events(l1, bound, headroom)
             p = d @ wk.take(idx, axis=0) if gather else d @ wk
             p += u  # a new integral: u, kept as stored, is never written
-            n = int(l1)
-            l1s.append(n)
-            adds += n * d_out
+            l1s.append(int(l1))
             prevs.append(r)
             us.append(p)
             bounds.append(bound)
             a = apply_activation(act, p)
-        if activity is not None:
-            # l1s are int() of finite, non-negative L1s: no per-value check
-            activity._add("l1", l1s, 1)
-        if ledger is not None:
-            ledger.int_adds += adds
+        self._record(l1s, 1, ledger, activity)
         self._prev, self._u, self._bounds = prevs, us, bounds
         self.frames += 1
         # relu and softmax return new arrays; identity returns the stored
@@ -607,17 +604,22 @@ class SigmaDeltaRuntime:
                 prev[i], bounds[i] = s[-1].copy(), float(s_l1[-1])
                 del s, blk
             out[rows] = a
-        if activity is not None:
-            activity.record_frames(l1=l1)
-        if ledger is not None:
-            # Python ints, as the step adds them: int64 sums could wrap
-            ledger.int_adds += sum(n * d for n, d in zip(
-                l1.sum(axis=0, dtype=object), self.net.dims[1:]))
+        # Python ints, as the step's: int64 sums over frames could wrap
+        self._record(l1.sum(axis=0, dtype=object), len(X), ledger, activity)
         self._prev, self._bounds = prev, bounds
         self._u = [p @ l.grid.weights + l.grid.bias
                    for p, l in zip(prev, self.net.layers)]
         self.frames += len(X)
         return out
+
+    def _record(self, l1s, frames, ledger, activity):
+        """Record frames' event L1s, one Python int per layer and exact by
+        construction, in the activity, which may refuse them, and only then
+        charge the ledger one add per event per fan-out."""
+        if activity is not None:
+            activity._add("l1", l1s, frames)
+        if ledger is not None:
+            ledger.int_adds += sum(map(operator.mul, l1s, self._fanouts))
 
 
 def sigma_delta_stream(net, frames, ledger=None, activity=None):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+import sigmadelta.costs as costs
 import sigmadelta.data as data
 import sigmadelta.experiments as experiments
 import sigmadelta.mlp as mlp
@@ -96,3 +97,60 @@ def test_every_workload_call_binds_to_the_library_signature():
         seen.add(node.func.value.id)
     assert unbound == []
     assert seen == set(modules)
+
+
+def test_every_costs_call_binds_to_the_library_signature():
+    # workloads imports names from costs and kernels and calls them bare
+    # (flops_dense(...)) or through a class (LayerActivity.for_network(...))
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module in ("sigmadelta.costs", "sigmadelta.kernels")):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(module,
+                                                               alias.name)
+    seen, unbound = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in imported:
+            name, fn = f.id, imported[f.id]
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and f.value.id in imported):
+            name = f"{f.value.id}.{f.attr}"
+            fn = getattr(imported[f.value.id], f.attr)
+        else:
+            continue
+        try:
+            inspect.signature(fn).bind(*node.args,
+                                       **{k.arg: k for k in node.keywords})
+        except TypeError as e:
+            unbound.append(f"workloads.py:{node.lineno} {name}: {e}")
+        seen.add(name)
+    assert unbound == []
+    assert seen == {"LayerActivity.for_network", "flops_dense",
+                    "flops_sigma_delta", "energy", "OpLedger"}
+
+
+def test_activity_has_what_the_benchmark_reads():
+    # FrameLoop snapshots activity.l1 and scales it by activity.fanouts;
+    # frames is what a per-frame figure divides by
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (isinstance(node.value, ast.Name) and node.value.id == "activity"
+                 or isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "activity")}
+    assert {"l1", "fanouts"} <= read
+    rng = np.random.default_rng(0)
+    net = network.NetworkSpec([
+        network.LayerSpec(rng.standard_normal((6, 5)), np.zeros(5), "relu"),
+        network.LayerSpec(rng.standard_normal((5, 4)), np.zeros(4), "identity")])
+    act = costs.LayerActivity.for_network(net)
+    network.SigmaDeltaRuntime(net).step(rng.standard_normal(6), activity=act)
+    for name in read | {"frames"}:
+        assert hasattr(act, name), name
+    assert act.frames == 1 and len(act.l1) == len(act.fanouts) == 2

@@ -31,34 +31,34 @@ class TestFlopsDense:
 class TestFlopsSparse:
     def test_all_zero(self):
         act = LayerActivity([10, 5])
-        act.record_frame(nonzero=[0, 0])
+        act._add("nonzero", [0, 0], 1)
         assert flops_sparse(act) == 0
 
     def test_one_nonzero_into_width_ten(self):
         act = LayerActivity([10])
-        act.record_frame(nonzero=[1])
+        act._add("nonzero", [1], 1)
         assert flops_sparse(act) == 20
 
     def test_accumulates_over_frames(self):
         act = LayerActivity([10])
-        act.record_frame(nonzero=[1])
-        act.record_frame(nonzero=[3])
+        act._add("nonzero", [1], 1)
+        act._add("nonzero", [3], 1)
         assert flops_sparse(act) == 2 * 4 * 10
 
 
 class TestFlopsRoundingAndSigmaDelta:
     def test_zero_events_is_bias_only(self):
         act = LayerActivity([200, 10])
-        act.record_frame(l1=[0, 0])
+        act._add("l1", [0, 0], 1)
         assert flops_rounding(act) == 210
         assert flops_sigma_delta(act) == 0
 
     def test_hand_counts(self):
         act = LayerActivity([10])
-        act.record_frame(l1=[5])
+        act._add("l1", [5], 1)
         assert flops_rounding(act) == 60
         act2 = LayerActivity([4])
-        act2.record_frame(l1=[3])
+        act2._add("l1", [3], 1)
         assert flops_sigma_delta(act2) == 12
 
     def test_difference_is_bias_amortization(self):
@@ -66,7 +66,7 @@ class TestFlopsRoundingAndSigmaDelta:
         act = LayerActivity([7, 3])
         frames = 5
         for _ in range(frames):
-            act.record_frame(l1=list(rng.integers(0, 20, 2)))
+            act._add("l1", [int(n) for n in rng.integers(0, 20, 2)], 1)
         assert (flops_rounding(act) - flops_sigma_delta(act)
                 == frames * (7 + 3))
 
@@ -86,44 +86,75 @@ class TestFlopsRoundingAndSigmaDelta:
             assert led.total_mults == 0
 
 
+class TestFlopsRefuseTheOtherKind:
+    def test_dense_counts_are_not_events(self):
+        # one dense-pass frame; the event forms would price it as no events
+        act = LayerActivity([3, 2])
+        act._add("nonzero", [4, 1], 1)
+        assert flops_sparse(act) == 2 * (4 * 3 + 1 * 2)
+        for flops in (flops_rounding, flops_sigma_delta):
+            with pytest.raises(ValueError):
+                flops(act)
+
+    def test_events_are_not_dense_counts(self):
+        act = LayerActivity([3, 2])
+        act._add("l1", [4, 1], 1)
+        assert flops_sigma_delta(act) == 14
+        with pytest.raises(ValueError):
+            flops_sparse(act)
+
+    def test_executors_activities(self):
+        net = random_net(np.random.default_rng(3), [6, 4, 2])
+        X = np.random.default_rng(4).random((5, 6))
+        dense, events = (LayerActivity.for_network(net),
+                         LayerActivity.for_network(net))
+        dense_batch(net, X, dense)
+        rounding_batch(net, X, events)
+        for flops, wrong in ((flops_sparse, events),
+                             (flops_rounding, dense),
+                             (flops_sigma_delta, dense)):
+            with pytest.raises(ValueError):
+                flops(wrong)
+
+    def test_a_fresh_activity_prices_at_zero(self):
+        act = LayerActivity([3, 2])
+        assert flops_sparse(act) == flops_rounding(act) == 0
+        assert flops_sigma_delta(act) == 0
+
+
+class TestWidths:
+    @pytest.mark.parametrize("bad", [2.7, np.float64(1.2), np.nan, np.inf])
+    def test_refuses_widths_that_are_not_integers(self, bad):
+        with pytest.raises(ValueError):
+            LayerActivity([4, bad])
+        with pytest.raises(ValueError):
+            flops_dense([4, bad])
+
+    def test_integral_widths_of_any_kind_accepted(self):
+        act = LayerActivity([2.0, np.int64(3), 4])
+        assert act.fanouts == (2, 3, 4)
+        assert all(type(d) is int for d in act.fanouts)
+        assert flops_dense(np.array([2.0, 3.0])) == 12
+
+
 class TestActivity:
     def test_kinds_cannot_mix(self):
         act = LayerActivity([4])
-        act.record_frame(l1=[2])
+        act._add("l1", [2], 1)
         with pytest.raises(ValueError):
-            act.record_frame(nonzero=[1])
-
-    def test_exactly_one_kind_per_frame(self):
-        act = LayerActivity([4])
-        with pytest.raises(ValueError):
-            act.record_frame()
-        with pytest.raises(ValueError):
-            act.record_frame(nonzero=[1], l1=[1])
+            act._add("nonzero", [1], 1)
 
     def test_layer_count_checked(self):
         act = LayerActivity([4, 2])
         with pytest.raises(ValueError):
-            act.record_frame(l1=[1])
+            act._add("l1", [1], 1)
 
     def test_refused_frame_does_not_fix_the_kind(self):
         act = LayerActivity([4, 2])
         with pytest.raises(ValueError):
-            act.record_frame(l1=[1])
-        act.record_frame(nonzero=[1, 1])
+            act._add("l1", [1], 1)
+        act._add("nonzero", [1, 1], 1)
         assert act.frames == 1 and list(act.nonzero) == [1, 1]
-
-    def test_record_frames_is_record_frame_per_row(self):
-        rng = np.random.default_rng(2)
-        counts = rng.integers(0, 50, (9, 3))
-        for kind in ("l1", "nonzero"):
-            batch, rows = LayerActivity([5, 4, 3]), LayerActivity([5, 4, 3])
-            batch.record_frames(**{kind: counts})
-            for row in counts:
-                rows.record_frame(**{kind: row})
-            assert np.array_equal(batch.l1, rows.l1)
-            assert np.array_equal(batch.nonzero, rows.nonzero)
-            assert batch.frames == rows.frames == 9
-            assert flops_rounding(batch) == flops_rounding(rows)
 
     def test_totals_are_exact_past_int64(self):
         # every frame's event L1 fits int64; their sum over frames does not
@@ -139,45 +170,23 @@ class TestActivity:
             sigma_delta_stream(net, X)
         act = LayerActivity.for_network(net)
         for n in (2 * 10 ** 18, 4 * 10 ** 18, 4 * 10 ** 18):
-            act.record_frame(l1=[n])
+            act._add("l1", [n], 1)
         assert list(act.l1) == [10 ** 19]
         assert flops_sigma_delta(act) == 5 * 10 ** 19
         act_round = LayerActivity.for_network(net)
         rounding_batch(net, 2 * np.abs(X), activity=act_round)
         assert flops_rounding(act_round) == 5 * (12 * 10 ** 18 + 3)
 
-    @pytest.mark.parametrize("bad", [[2.7], [-3], [np.nan], [np.inf]])
-    def test_refuses_counts_that_are_not_non_negative_integers(self, bad):
-        act = LayerActivity([4])
-        act.record_frame(l1=[5])
-        for record in (lambda: act.record_frame(l1=bad),
-                       lambda: act.record_frames(l1=[bad])):
-            with pytest.raises(ValueError):
-                record()
-            assert list(act.l1) == [5] and act.frames == 1
-        # a column sum would hide these: each entry is checked
-        for rows in ([[2.5], [0.5]], [[-1], [4]]):
-            with pytest.raises(ValueError):
-                act.record_frames(l1=rows)
-        assert list(act.l1) == [5] and act.frames == 1
-        act.record_frame(l1=[2.0])
-        act.record_frames(l1=[[1.0], [3]])
-        assert list(act.l1) == [11] and act.frames == 4
-
-    def test_record_frames_checks_shape_and_kind(self):
+    def test_no_frames_record_nothing(self):
         act = LayerActivity([4, 2])
-        for bad in ([1, 2], [[1, 2, 3]], np.zeros((2, 2, 2))):
-            with pytest.raises(ValueError):
-                act.record_frames(l1=bad)
-        with pytest.raises(ValueError):  # no rows, but the wrong width
-            act.record_frames(l1=np.zeros((0, 3)))
-        act.record_frames(nonzero=np.zeros((0, 2)))  # records no kind
-        act.record_frames(l1=[[1, 1]])
+        with pytest.raises(ValueError):  # no frames, but the wrong width
+            act._add("l1", [0, 0, 0], 0)
+        act._add("nonzero", [0, 0], 0)  # records no kind
+        act._add("l1", [1, 1], 1)
         with pytest.raises(ValueError):
-            act.record_frames(nonzero=[[1, 1]])
+            act._add("nonzero", [1, 1], 1)
+        act._add("nonzero", [0, 0], 0)  # nor refuses the other kind
         assert list(act.l1) == [1, 1] and act.frames == 1
-        with pytest.raises(ValueError):
-            act.record_frames()
 
     def test_empty_batch_records_nothing(self):
         # an empty batch leaves the kind as it was, as an empty run window

@@ -710,7 +710,7 @@ class TestRejectedFrame:
         if case == "overflow":
             bad = np.full(20, 1e19)
         else:
-            act.record_frame(nonzero=[20, 10])
+            dense_batch(net, np.ones((1, 20)), activity=act)
             bad = rng.standard_normal(20)
         for t, x in enumerate(rng.standard_normal((12, 20))):
             if t == 5:

@@ -12,7 +12,7 @@ from sigmadelta.costs import LayerActivity
 from sigmadelta.data import gen_random_network
 from sigmadelta.kernels import OpLedger
 from sigmadelta.network import (LayerSpec, NetworkSpec, SigmaDeltaRuntime,
-                                sigma_delta_stream)
+                                dense_batch, sigma_delta_stream)
 from tests.test_grid import (assert_same, same_state, state, stepped, stream,
                              stream_nets, streamed)
 from tests.test_network import random_net
@@ -207,12 +207,13 @@ class TestRunResumesTheState:
         before = charges(rt, led, act)
         # an activity of the other kind: recording anything would raise
         dense = LayerActivity.for_network(net)
-        dense.record_frame(nonzero=[1, 2, 3])
+        dense_batch(net, np.ones((1, net.input_dim)), activity=dense)
+        nonzero = list(dense.nonzero)
         for activity in (act, dense):
             out = rt.run(np.zeros((0, net.input_dim)), ledger=led,
                          activity=activity)
             assert out.shape == (0, net.output_dim)
             assert same_charges(charges(rt, led, act), before)
-        assert list(dense.nonzero) == [1, 2, 3] and dense.frames == 1
+        assert list(dense.nonzero) == nonzero and dense.frames == 1
         out = sigma_delta_stream(net, np.zeros((0, net.input_dim)))
         assert out.shape == (0, net.output_dim)
