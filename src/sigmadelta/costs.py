@@ -10,7 +10,7 @@ Four closed forms cover the four executors:
 
 The per-layer totals come from a LayerActivity, which the executors fill
 once per call: nonzero counts for the sparse form, L1s for the other two.
-Layer widths must be integers.
+Layer widths must be positive integers.
 
 energy prices every op at the paper's 45 nm int32 rates (INT_ADD_PJ,
 INT_MULT_PJ).
@@ -56,8 +56,8 @@ class LayerActivity:
 
     def __init__(self, fanouts):
         fanouts = _widths(fanouts)
-        if not fanouts or any(d < 1 for d in fanouts):
-            raise ValueError("fanouts must be positive layer widths")
+        if not fanouts:
+            raise ValueError("need at least one layer width")
         self.fanouts = fanouts
         self.nonzero = np.zeros(len(fanouts), dtype=object)
         self.l1 = np.zeros(len(fanouts), dtype=object)
@@ -99,14 +99,16 @@ class LayerActivity:
 
 def _widths(dims):
     """dims as a tuple of Python ints; ValueError for any that is not an
-    integral value (2.7, NaN, inf), which int() would truncate or fail on."""
+    integral value (2.7, NaN, inf), which int() would truncate or fail on,
+    or is below 1."""
     dims = tuple(dims)
     try:
         widths = tuple(int(d) for d in dims)
     except (TypeError, ValueError, OverflowError):
         widths = None
-    if widths != dims:
-        raise ValueError(f"layer widths must be integers, got {list(dims)}")
+    if widths != dims or min(widths, default=1) < 1:
+        raise ValueError(
+            f"layer widths must be positive integers, got {list(dims)}")
     return widths
 
 

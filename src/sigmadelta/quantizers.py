@@ -30,7 +30,13 @@ _HALF.flags.writeable = False
 def round_half_away(x):
     """Round to nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1).
     Like C's round(), the result keeps the sign of x, zeros included.  It
-    is a new array, copysign(1/2, x) rounded in place; x is not written."""
+    is a new array, copysign(1/2, x) rounded in place; x is not written.
+
+    In float64 this is trunc(x + copysign(1/2, x)), whose one addition
+    rounds, so it differs from true half-away rounding in two places:
+    +-(1/2 - 2**-54), the largest double below 1/2, goes to +-1, and an
+    odd integer in +-[2**52, 2**53), where doubles are one apart, goes to
+    the next even integer away from zero."""
     x = np.asarray(x, dtype=np.float64)
     y = np.copysign(_HALF, x)
     y += x  # exact sign symmetry: -a - 0.5 rounds to -(a + 0.5)

@@ -130,6 +130,14 @@ class TestWidths:
         with pytest.raises(ValueError):
             flops_dense([4, bad])
 
+    @pytest.mark.parametrize("dims", [[4, -2], [0, 5], [3, 0, 2]])
+    def test_refuses_widths_below_one(self, dims):
+        # flops_dense([4, -2]) read -16 ops and flops_dense([0, 5]) 0
+        with pytest.raises(ValueError):
+            flops_dense(dims)
+        with pytest.raises(ValueError):
+            LayerActivity(dims)
+
     def test_integral_widths_of_any_kind_accepted(self):
         act = LayerActivity([2.0, np.int64(3), 4])
         assert act.fanouts == (2, 3, 4)

@@ -1,9 +1,11 @@
 """Peak memory of the batch paths, in multiples of the frames' size.
 
 Each pass holds one s-sized array per layer: the rounding runs in place in
-64-row blocks, and the bias and ReLU are applied in place to the product,
-and the previous layer's s is freed before the next is formed.  The stream
-takes its row L1s in 64-row blocks of one scratch array.
+64-row blocks through a 64-row scratch, a hidden layer's output is scaled
+in place into the next layer's s, the bias and ReLU are applied in place
+to the product, and the previous layer's s is freed before the next is
+formed.  The stream takes its row L1s in 64-row blocks of one scratch
+array.
 gen_random_stream smooths its one draw of frames in place.  Peaks are
 tracemalloc's, over a second call (the first builds each layer's grid).
 """
@@ -58,7 +60,7 @@ def rounding_batch_counted(net, X):
 @pytest.mark.parametrize("run, bound", [(dense_batch, 1.0),
                                         (rounding_batch, 1.7),
                                         (rounding_batch_counted, 1.7),
-                                        (sigma_delta_stream, 0.8)],
+                                        (sigma_delta_stream, 0.7)],
                          ids=["dense_batch", "rounding_batch",
                               "rounding_batch-activity", "sigma_delta_stream"])
 def test_batch_pass_peak(net_and_frames, run, bound):
@@ -67,6 +69,7 @@ def test_batch_pass_peak(net_and_frames, run, bound):
     # activity's row sums of an |s| copy read 2.52; with the previous
     # layer's s held while the next was formed, the rounding pass read 2.19
     # (2.22 with an activity) and the stream 0.995; the stream read 0.812
-    # with an s-sized array for the row L1s, 0.764 with a 64-row one
+    # with an s-sized array for the row L1s, 0.764 with a 64-row one, and
+    # 0.642 with each hidden layer's output scaled in place into its s
     net, X = net_and_frames
     assert peak_frames(lambda: run(net, X)) < bound

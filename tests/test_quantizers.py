@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigmadelta.network import _round_rows
 from sigmadelta.quantizers import (DeltaHerder, Herder, TemporalDifference,
                                    TemporalIntegrator, round_half_away)
 
@@ -27,6 +28,33 @@ def test_round_half_away_matches_sign_floor_form():
     assert np.array_equal(np.signbit(got), np.signbit(x))
     assert np.isnan(round_half_away(np.nan))
     assert round_half_away(2.5) == 3.0 and round_half_away([[-2.5]]).shape == (1, 1)
+
+
+EDGES = [0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 2.0 ** 52 - 0.5,
+         2.0 ** 52 + 1, 5e-324, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
+def test_batch_rounding_kernel_has_round_half_away_bits(rows):
+    # network._round_rows forms copysign(1/2, x) from x's bits, in place,
+    # 64 rows at a time: every row carries both signs of each edge, the
+    # zeros and NaNs included
+    edges = EDGES + [-e for e in EDGES] + [2.0 ** 53]
+    rng = np.random.default_rng(rows)
+    X = rng.standard_normal((rows, 40)) * 10.0 ** rng.integers(-3, 17,
+                                                                (rows, 40))
+    X[:, :len(edges)] = edges
+    got = _round_rows(X.copy()).view(np.int64)
+    assert np.array_equal(got, round_half_away(X).view(np.int64))
+
+
+def test_round_half_away_is_trunc_of_x_plus_signed_half():
+    # trunc(x + copysign(1/2, x)) in float64: x + 1/2 itself rounds, so the
+    # largest double below 1/2 goes to 1, and an odd integer in [2**52,
+    # 2**53), where doubles are one apart, to the next even one
+    x = np.array([0.49999999999999994, 2.0 ** 52 + 1, 2.0 ** 53 - 1])
+    assert np.array_equal(round_half_away(x), [1.0, 2.0 ** 52 + 2, 2.0 ** 53])
+    assert np.array_equal(round_half_away(-x), -round_half_away(x))
 
 
 class TestTemporalDifference:

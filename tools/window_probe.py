@@ -1,4 +1,5 @@
-"""Time SigmaDeltaRuntime.run on windows of frames against the step.
+"""Time SigmaDeltaRuntime.run on windows of frames against the step, and
+the rounding pass it is built on.
 
     python tools/window_probe.py
 
@@ -7,12 +8,14 @@ random net (gen_random_network, rng 0) at scales (8, 4, 4), over one
 2400-frame stream per smoothness 0, 0.95 and 0.999 (gen_random_stream,
 rng 1).  Each variant feeds the whole stream to one fresh runtime: step
 frame by frame, or run over consecutive windows of 1, 4, 16, 64 and 256
-frames, and records its events in a LayerActivity.  Before timing, it
-asserts that every variant's outputs, end state (previous rounded inputs,
-integrals and frame count) and LayerActivity.l1 are array_equal to the
-step's.  It prints a Markdown table of microseconds per frame, each the
-minimum of 5 rounds; the variants run in turn, in reverse order on every
-other round.  BLAS runs on one thread.
+frames, and records its events in a LayerActivity; rounding_batch takes
+the whole stream in one call, recording its own.  Before timing, it
+asserts that every window variant's outputs, end state (previous rounded
+inputs, integrals and frame count) and LayerActivity.l1 are array_equal
+to the step's, and that rounding_batch's outputs are.  It prints a
+Markdown table of microseconds per frame, each the minimum of 5 rounds;
+the variants run in turn, in reverse order on every other round.  BLAS
+runs on one thread.
 """
 
 import os
@@ -28,7 +31,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sigmadelta.costs import LayerActivity  # noqa: E402
 from sigmadelta.data import gen_random_network, gen_random_stream  # noqa: E402
-from sigmadelta.network import SigmaDeltaRuntime  # noqa: E402
+from sigmadelta.network import SigmaDeltaRuntime, rounding_batch  # noqa: E402
 
 FRAMES = 2400
 SMOOTHNESS = (0.0, 0.95, 0.999)
@@ -49,6 +52,10 @@ def windowed(w):
     return run
 
 
+def batch(net, X):
+    return rounding_batch(net, X, LayerActivity.for_network(net))
+
+
 def same_end(got, want):
     (y, rt, act), (y_want, ref, ref_act) = got, want
     return (np.array_equal(y, y_want) and rt.frames == ref.frames
@@ -62,7 +69,8 @@ def main():
                              dims=(784, 200, 200, 10)).with_scales(
         [8.0, 4.0, 4.0])
     variants = [("step", stepped)] + [(f"run w={w}", windowed(w))
-                                      for w in WINDOWS]
+                                      for w in WINDOWS] + [
+        ("rounding_batch", batch)]
     print(f"µs/frame, min of {ROUNDS} rounds, {FRAMES} frames, net "
           f"{net.dims}, scales {tuple(net.scales)}")
     print()
@@ -72,8 +80,9 @@ def main():
         X = gen_random_stream(np.random.default_rng(1), FRAMES, net.input_dim,
                               smoothness).frames
         want = stepped(net, X)
-        for name, fn in variants[1:]:
+        for name, fn in variants[1:-1]:
             assert same_end(fn(net, X), want), name
+        assert np.array_equal(batch(net, X), want[0]), "rounding_batch"
         best = dict.fromkeys((n for n, _ in variants), float("inf"))
         for r in range(ROUNDS):
             for name, fn in (variants if r % 2 == 0 else variants[::-1]):
