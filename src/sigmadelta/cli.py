@@ -11,7 +11,7 @@ command; an option left out is not passed, so that function's default
 applies and that function alone checks the value.  Exit codes: 0 success,
 2 a refused value, input file or output path (one "error:" line on
 stderr), 3 tolerance breach.  Every subcommand is deterministic under a
-fixed --seed; the environment variable SIGDEL_THREADS caps sweep workers.
+fixed --seed, whatever a sweep's --threads.
 """
 
 import argparse
@@ -113,6 +113,8 @@ def build_parser():
         sp.add_argument("--eta", type=float)
         sp.add_argument("--epochs", type=int)
         sp.add_argument("--surrogate", help=" or ".join(SURROGATES))
+        sp.add_argument("--threads", type=int,
+                        help="sweep workers (default: every CPU)")
 
     rn = command("random-net", cmd_random_net, "random-network tradeoff sweep")
     sweep_options(rn)

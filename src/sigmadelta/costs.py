@@ -97,19 +97,22 @@ class LayerActivity:
                 f"fanouts={self.fanouts})")
 
 
-def _widths(dims):
-    """dims as a tuple of Python ints; ValueError for any that is not an
-    integral value (2.7, NaN, inf), which int() would truncate or fail on,
-    or is below 1."""
-    dims = tuple(dims)
+def _count(value, name, low):
+    """value as a Python int; ValueError unless it is an integral value
+    (not 2.7, NaN or inf, which int() would truncate or fail on) of at
+    least low."""
     try:
-        widths = tuple(int(d) for d in dims)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
-        widths = None
-    if widths != dims or min(widths, default=1) < 1:
-        raise ValueError(
-            f"layer widths must be positive integers, got {list(dims)}")
-    return widths
+        n = None
+    if n != value or n < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return n
+
+
+def _widths(dims):
+    """dims as a tuple of Python ints, each a _count of at least 1."""
+    return tuple(_count(d, "a layer width", 1) for d in dims)
 
 
 def flops_dense(dims):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _count
 from .network import LayerSpec, NetworkSpec
 
 __all__ = [
@@ -163,8 +164,7 @@ def temporal_reshuffle(ds, buffer_size, rng):
     """
     if len(ds) == 0:
         raise ValueError("cannot reshuffle an empty dataset")
-    if buffer_size < 1:
-        raise ValueError("buffer_size must be >= 1")
+    buffer_size = _count(buffer_size, "buffer_size", 1)
     frames = ds.frames
     sq = np.einsum("ij,ij->i", frames, frames)
     if not np.all(np.isfinite(sq)):
@@ -234,8 +234,7 @@ def gen_random_stream(rng, n_frames, width, smoothness=0.0):
     normal frames is smoothed in place, row by row, so the stream holds
     one frame-sized array.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+    n_frames = _count(n_frames, "n_frames", 1)
     if not 0.0 <= smoothness <= 1.0:
         raise ValueError("smoothness must lie in [0, 1]")
     frames = rng.standard_normal((n_frames, width))

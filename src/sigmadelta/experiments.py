@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .costs import (LayerActivity, _write_csv, energy, flops_dense,
-                    flops_rounding, flops_sigma_delta, flops_sparse,
-                    write_report_csv)
+from .costs import (LayerActivity, _count, _write_csv, energy,
+                    flops_dense, flops_rounding, flops_sigma_delta,
+                    flops_sparse, write_report_csv)
 from .data import gen_random_network, gen_random_stream, load_idx, temporal_reshuffle
 from .kernels import OpLedger
 from .network import (SigmaDeltaRuntime, TemporalDiffRuntime, _check_frames,
@@ -33,21 +33,15 @@ __all__ = [
     "random_net_experiment",
     "mnist_experiment",
     "find_mnist_files",
-    "worker_count",
 ]
 
 
-def worker_count(n_tasks, requested=None):
-    """Worker count for sweep parallelism; SIGDEL_THREADS is a hard cap."""
-    cap = requested if requested is not None else (os.cpu_count() or 1)
-    env = os.environ.get("SIGDEL_THREADS")
-    if env:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise ValueError(f"SIGDEL_THREADS={env!r} is not an integer") from None
-        cap = min(int(cap), limit)
-    return max(1, min(int(cap), n_tasks))
+def _pool_size(threads, n_tasks):
+    """A sweep's worker count: threads (every CPU when None), at most one
+    per task.  ValueError unless threads is None or an integer >= 1."""
+    if threads is None:
+        threads = os.cpu_count() or 1
+    return max(1, min(_count(threads, "threads", 1), n_tasks))
 
 
 def classification_error(outputs, labels):
@@ -157,15 +151,15 @@ def random_net_experiment(out_dir, seed=0, lambdas=(1e-8, 1e-7, 1e-6, 1e-5),
     Draws n_random random per-layer rescalings, log k uniform in [-3, 3],
     to map the error/computation plane, then optimizes scales for each
     lambda and records the trajectories and endpoints.  Writes cloud.csv,
-    trajectories.csv, endpoints.csv and a manifest into out_dir.  Every
-    argument is checked before the first file is written.
+    trajectories.csv, endpoints.csv and a manifest into out_dir.  threads
+    workers run the lambdas (every CPU when None).  Every argument is
+    checked before the first file is written.
     """
-    if n_random < 1:
-        raise ValueError("n_random must be >= 1")
+    n_random = _count(n_random, "n_random", 1)
     configs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
                               surrogate=surrogate)
                for lam in lambdas]
-    workers = worker_count(len(configs), threads)
+    workers = _pool_size(threads, len(configs))
     rng = np.random.default_rng(seed)
     net = gen_random_network(rng)
     train = gen_random_stream(rng, train_frames, net.input_dim).frames
@@ -303,18 +297,18 @@ def mnist_experiment(mnist_dir, net_path, out_dir, seed=0, lambdas=None,
     sigma-delta networks of each setting compute on its layers' grids
     (network.GRID_BITS), so their outputs, and their class errors, are
     equal.  Settings and trace files are named after repr(float(lam)).
-    opt_frames caps how many training frames the scale optimization sees.
+    opt_frames caps the frames the optimization sees, threads its workers.
     The data, the net and every argument are checked before out_dir is
     made (buffer_size by the reshuffle).
     """
-    if opt_frames is not None and opt_frames < 1:
-        raise ValueError("opt_frames must be >= 1 when given")
+    if opt_frames is not None:
+        opt_frames = _count(opt_frames, "opt_frames", 1)
     if lambdas is None:
         lambdas = [10.0 ** float(e) for e in np.linspace(-10, -5, 10)]
     configs = [TradeoffConfig(lam=lam, eta=eta, epochs=epochs,
                               surrogate=surrogate)
                for lam in lambdas]
-    workers = worker_count(len(configs), threads)
+    workers = _pool_size(threads, len(configs))
     rng = np.random.default_rng(seed)
 
     train = load_idx(*find_mnist_files(mnist_dir, "train"))

@@ -406,15 +406,17 @@ def dense_batch(net, X, activity=None):
 def rounding_batch(net, X, activity=None):
     """Vectorized forward_rounding over the rows of X: the same products,
     and the same bits wherever the sums stay below the layers' limits
-    (GRID_BITS).  A row whose event count is past int64 raises before any
-    is recorded."""
+    (GRID_BITS).  Given an activity, a row whose event count reaches
+    2**53 raises before any is recorded: below it the float64 row sums of
+    the integers |s| are exact, and they reach it exactly when the counts
+    do."""
     l1s = []
     for _, s, a in _passes(net, _check_frames(X, net.input_dim), snap=True):
         if activity is not None:
             l1 = np.abs(s, out=s).sum(axis=1)
-            if not np.all(l1 < 2.0 ** 63):  # false for inf and NaN too
-                raise ValueError("input rows must have event counts that "
-                                 "fit int64")
+            if not np.all(l1 < 2.0 ** 53):  # false for inf and NaN too
+                raise ValueError("input rows must have event counts below "
+                                 "2**53, where float64 counts them exactly")
             # Python ints: an int64 sum over rows could wrap
             l1s.append(l1.astype(np.int64).sum(dtype=object))
         del s

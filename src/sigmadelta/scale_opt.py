@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .costs import _count
 from .network import _check_frames, apply_activation, dense_batch
 from .quantizers import round_half_away
 
@@ -63,8 +64,7 @@ class TradeoffConfig:
             raise ValueError("lam must be nonnegative and finite")
         if not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
-        if not self.epochs >= 0:
-            raise ValueError("epochs must be nonnegative")
+        self.epochs = _count(self.epochs, "epochs", 0)
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
 

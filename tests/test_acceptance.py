@@ -141,8 +141,8 @@ def test_criterion_4_sigma_delta_equals_rounding():
     exact = all(
         np.array_equal(rt.step(x), forward_rounding(net, x))
         for x in rng.integers(-4, 5, (500, 12)).astype(float))
-    check(4, f"sigma-delta vs rounding: max rel dev {worst:.2e} < 1e-4; "
-             f"integer case exact", worst < 1e-4 and exact)
+    check(4, f"sigma-delta vs rounding: max rel dev {worst:.2e} == 0; "
+             f"integer case exact", worst == 0.0 and exact)
 
 
 def test_criterion_5_temporal_diff_equals_original():

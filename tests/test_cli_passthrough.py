@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sigmadelta.cli as cli
 from sigmadelta.cli import build_parser, main
 from sigmadelta.data import FrameDataset, load_idx, save_idx
 from sigmadelta.experiments import (equivalence_check, find_mnist_files,
@@ -62,6 +63,18 @@ def test_every_dest_is_a_library_keyword(command):
         if action.dest not in consumed:
             # left out, the option is not passed: the library's default holds
             assert action.default is argparse.SUPPRESS, action.option_strings
+
+
+@pytest.mark.parametrize("command", ["random-net", "mnist"])
+def test_threads_reaches_the_sweep_driver(command, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(cli, LIBRARY[command].__name__,
+                        lambda **kwargs: seen.update(kwargs))
+    argv = [command, "--out", "o", "--threads", "3"]
+    if command == "mnist":
+        argv += ["--mnist-dir", "d", "--net", "n"]
+    assert main(argv) == 0
+    assert seen["threads"] == 3
 
 
 def readme_synopsis():
@@ -151,7 +164,10 @@ REFUSED = {
     "mnist --opt-frames 0": ["mnist", "--mnist-dir", "{ddir}", "--net",
                              "{net}", "--opt-frames", "0",
                              "--lambda-list", "1e-6", "--epochs", "1"],
-    "SIGDEL_THREADS=abc random-net": ["random-net"] + SMALL_RN,
+    "random-net --threads 0": ["random-net"] + SMALL_RN + ["--threads", "0"],
+    "mnist --threads 0": ["mnist", "--mnist-dir", "{ddir}", "--net", "{net}",
+                          "--threads", "0", "--lambda-list", "1e-6",
+                          "--epochs", "1"],
     "train-mlp one image": ["train-mlp", "--mnist-dir", "{one_image}",
                             "--epochs", "1", "--dims", "64,24,10"],
     # labels 0..9 against 5 classes
@@ -188,8 +204,6 @@ def test_refused_value_exits_2_with_one_line_and_no_file(
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    monkeypatch.setenv("SIGDEL_THREADS",
-                       "abc" if name.startswith("SIGDEL") else "1")
     argv = [a.format(**inputs) for a in REFUSED[name]]
     command = argv[0]
     if (command in ("random-net", "mnist", "check-equivalence")

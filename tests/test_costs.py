@@ -181,9 +181,29 @@ class TestActivity:
             act._add("l1", [n], 1)
         assert list(act.l1) == [10 ** 19]
         assert flops_sigma_delta(act) == 5 * 10 ** 19
+        # rounding_batch counts rows below 2**53 events; 2048 of them pass
+        # int64 in their total (an even count rounds to itself)
+        n = 2 ** 53 - 2
+        rows = np.zeros((2048, 20))
+        rows[:, 3] = n
         act_round = LayerActivity.for_network(net)
-        rounding_batch(net, 2 * np.abs(X), activity=act_round)
-        assert flops_rounding(act_round) == 5 * (12 * 10 ** 18 + 3)
+        rounding_batch(net, rows, activity=act_round)
+        assert list(act_round.l1) == [2048 * n]
+        assert act_round.l1[0] > 2 ** 63
+        assert flops_rounding(act_round) == 5 * (2048 * n + 2048)
+
+    def test_rounding_batch_refuses_a_count_float64_cannot_hold(self):
+        # 2**53 + 1 + 1 sums to 2**53 in float64: two events would be lost
+        net = NetworkSpec([LayerSpec(np.eye(3), np.zeros(3), "identity")])
+        act = LayerActivity.for_network(net)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            rounding_batch(net, np.array([[2.0 ** 53, 1.0, 1.0]]),
+                           activity=act)
+        assert act.frames == 0 and list(act.l1) == [0]
+        # two events below the bound are counted exactly
+        rounding_batch(net, np.array([[2.0 ** 53 - 4, 1.0, 1.0]]),
+                       activity=act)
+        assert act.frames == 1 and list(act.l1) == [2 ** 53 - 2]
 
     def test_no_frames_record_nothing(self):
         act = LayerActivity([4, 2])

@@ -12,8 +12,7 @@ from sigmadelta.data import FrameDataset, gen_random_network, gen_random_stream,
 from sigmadelta.experiments import (classification_error, dense_batch,
                                     equivalence_check, find_mnist_files,
                                     mnist_experiment, random_net_experiment,
-                                    rounding_batch, sigma_delta_stream,
-                                    worker_count)
+                                    rounding_batch, sigma_delta_stream)
 from sigmadelta.mlp import train_mlp
 from sigmadelta.network import (SigmaDeltaRuntime, forward_original,
                                 forward_rounding, load_network, save_network)
@@ -109,7 +108,7 @@ class TestEquivalenceCheck:
     def test_default_net_passes(self):
         report = equivalence_check(seed=0, n_frames=200)
         assert report["passed"]
-        assert report["max_sigma_delta_vs_rounding_rel"] < 1e-4
+        assert report["max_sigma_delta_vs_rounding_rel"] == 0.0
         assert report["max_temporal_diff_vs_original_abs"] < 1e-6
 
     def test_smooth_stream_is_cheaper_than_dense(self):
@@ -185,24 +184,36 @@ class TestEquivalenceCheck:
         assert calls == []
 
 
-class TestWorkerCount:
-    def test_env_caps_requested(self, monkeypatch):
-        monkeypatch.setenv("SIGDEL_THREADS", "2")
-        assert worker_count(8, requested=8) == 2
+class TestPoolSize:
+    def test_threads_caps_workers(self):
+        assert experiments._pool_size(2, 8) == 2
 
-    def test_capped_by_tasks(self, monkeypatch):
-        monkeypatch.delenv("SIGDEL_THREADS", raising=False)
-        assert worker_count(1, requested=16) == 1
+    def test_capped_by_tasks(self):
+        assert experiments._pool_size(16, 1) == 1
 
-    def test_at_least_one(self, monkeypatch):
-        monkeypatch.setenv("SIGDEL_THREADS", "0")
-        assert worker_count(4, requested=4) == 1
+    def test_none_is_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        assert experiments._pool_size(None, 8) == 3
+        assert experiments._pool_size(None, 2) == 2
 
-    @pytest.mark.parametrize("env", ["abc", "2.5", "1e3"])
-    def test_non_integer_env_names_the_variable(self, monkeypatch, env):
-        monkeypatch.setenv("SIGDEL_THREADS", env)
-        with pytest.raises(ValueError, match=f"SIGDEL_THREADS={env!r}"):
-            worker_count(4, requested=4)
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, float("nan"), "2"])
+    def test_refuses_anything_but_a_positive_integer(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            experiments._pool_size(threads, 4)
+
+    def test_drivers_pool_has_threads_workers(self, tmp_path, monkeypatch):
+        sizes = []
+        real = experiments.ThreadPoolExecutor
+
+        def pool(workers):
+            sizes.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", pool)
+        random_net_experiment(str(tmp_path / "rn"), lambdas=(1e-6, 1e-5, 1e-4),
+                              n_random=5, train_frames=32, eval_frames=16,
+                              epochs=1, threads=2)
+        assert sizes == [2]
 
 
 def diverge_at(monkeypatch, lam):
@@ -231,12 +242,12 @@ class TestRandomNetExperiment:
         dict(train_frames=0), dict(eval_frames=0),
         dict(eta=float("nan")), dict(eta=float("inf")),
         dict(lambdas=(float("nan"),)), dict(lambdas=(float("inf"),)),
-        dict(env="abc")], ids=str)
-    def test_refused_value_writes_nothing(self, tmp_path, monkeypatch, kwargs):
+        dict(epochs=1.5), dict(n_random=2.5), dict(train_frames=32.5),
+        dict(threads=0), dict(threads=1.5)], ids=str)
+    def test_refused_value_writes_nothing(self, tmp_path, kwargs):
         # every argument is checked before cloud.csv, the first output
-        kwargs = dict(kwargs)
-        monkeypatch.setenv("SIGDEL_THREADS", kwargs.pop("env", "1"))
-        small = dict(n_random=5, train_frames=32, eval_frames=16, epochs=1)
+        small = dict(n_random=5, train_frames=32, eval_frames=16, epochs=1,
+                     threads=1)
         with pytest.raises(ValueError):
             random_net_experiment(str(tmp_path / "rn"), **{**small, **kwargs})
         assert list(tmp_path.iterdir()) == []
@@ -257,9 +268,8 @@ class TestRandomNetExperiment:
             header = next(csv.reader(f))
         assert header == ["lambda", "step", "error", "kflops"]
 
-    def test_byte_identical_under_seed(self, tmp_path, monkeypatch):
+    def test_byte_identical_under_seed(self, tmp_path):
         # same seed, same bytes: across reruns and across sweep thread counts
-        monkeypatch.delenv("SIGDEL_THREADS", raising=False)
         kwargs = dict(seed=7, n_random=20, train_frames=128, eval_frames=64,
                       epochs=1)
         random_net_experiment(str(tmp_path / "a"), lambdas=(1e-6,), **kwargs)
@@ -334,17 +344,16 @@ class TestMnistExperiment:
     @pytest.mark.parametrize("kwargs", [
         dict(opt_frames=0), dict(opt_frames=-1),
         dict(eta=0.0), dict(lambdas=[-1e-6]), dict(epochs=-1),
-        dict(buffer_size=0), dict(env="abc")], ids=str)
-    def test_refused_value_writes_nothing(self, digits, tmp_path, monkeypatch,
-                                          kwargs):
+        dict(buffer_size=0), dict(buffer_size=2.5), dict(opt_frames=2.5),
+        dict(epochs=1.5), dict(threads=0)], ids=str)
+    def test_refused_value_writes_nothing(self, digits, tmp_path, kwargs):
         # the data, the net and every argument are checked before out_dir
         # is made; a zero cap is refused, not read as "no cap"
-        kwargs = dict(kwargs)
-        monkeypatch.setenv("SIGDEL_THREADS", kwargs.pop("env", "1"))
         ddir, net_path = digits
         with pytest.raises(ValueError):
             mnist_experiment(str(ddir), str(net_path), str(tmp_path / "o"),
-                             **{"lambdas": [1e-6], "epochs": 1, **kwargs})
+                             **{"lambdas": [1e-6], "epochs": 1, "threads": 1,
+                                **kwargs})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad_net", ["missing", "malformed", "width"])
@@ -427,8 +436,7 @@ class TestMnistExperiment:
         assert res["summary"][2] == {"setting": "lambda=1e-06",
                                      "diverged": True}
 
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SIGDEL_THREADS", raising=False)
+    def test_byte_identical_across_thread_counts(self, tmp_path):
         rng = np.random.default_rng(7)
         ddir, net_path = make_digit_fixture(tmp_path, rng, n_train=96,
                                             n_test=48)

@@ -1,7 +1,7 @@
 """Every layer computes on its own grid (network.GRID_BITS): every executor
 that rounds its layer inputs computes the same bits, whatever kernel, batch
-shape, chunking or history, and a frame past a layer's headroom is
-refused."""
+shape, chunking or history, those of an oracle that sums in Python ints,
+and a frame past a layer's headroom is refused."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from sigmadelta.costs import LayerActivity
 from sigmadelta.data import gen_random_stream
 from sigmadelta.kernels import OpLedger
 from sigmadelta.network import (GRID_BITS, LayerSpec, NetworkSpec,
-                                SigmaDeltaRuntime, forward_rounding,
-                                rounding_batch)
+                                SigmaDeltaRuntime, apply_activation,
+                                forward_rounding, rounding_batch)
+from sigmadelta.quantizers import round_half_away
 from tests.test_network import random_net
 
 
@@ -399,3 +400,70 @@ class TestHeadroom:
         assert np.array_equal(act.l1, l1_before) and act.frames == 10
         got = np.array([rt.step(x) for x in X[10:]])
         assert np.array_equal(got, rounding_batch(net, X[10:]))
+
+
+def oracle_net(rng):
+    """2-4 layers of width 1-8, weights and biases at 10^-3..3, one scale
+    per layer at 10^-2..3, relu or identity hidden layers and a relu,
+    identity or softmax output."""
+    n_layers = int(rng.integers(2, 5))
+    dims = rng.integers(1, 9, n_layers + 1)
+    layers = []
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        mag = 10.0 ** rng.uniform(-3, 3)
+        acts = ["relu", "identity"] + ["softmax"] * (i == n_layers - 1)
+        layers.append(LayerSpec(rng.standard_normal((d_in, d_out)) * mag,
+                                rng.standard_normal(d_out) * mag,
+                                str(rng.choice(acts)),
+                                10.0 ** rng.uniform(-2, 3)))
+    return NetworkSpec(layers)
+
+
+def integer_oracle(net, x):
+    """forward_rounding with each layer's sums in Python ints of grid steps:
+    s = round(k*a) as the executors round, u = s·(W/k)/step + b/step with
+    no rounding at all, and the activation applied to u·step.  Returns the
+    output and the largest |u| of any layer, in steps."""
+    a, top = x, 0
+    for layer in net.layers:
+        grid = layer.grid
+        s = np.array([int(v) for v in round_half_away(a * layer.scale)],
+                     dtype=object)
+        w, b = ((p / grid.step).astype(np.int64).astype(object)
+                for p in (grid.weights, grid.bias))
+        u = s.dot(w) + b
+        top = max(top, *map(abs, u))
+        a = apply_activation(layer.activation,
+                             np.array([float(v) for v in u]) * grid.step)
+    return a, top
+
+
+class TestIntegerOracle:
+    def test_accepted_frames_equal_the_oracle(self):
+        # _check_events' argument, checked against sums that cannot round:
+        # on every frame the step takes, the step and forward_rounding give
+        # the oracle's bits, up to the layers' limits (2**53 steps)
+        rng = np.random.default_rng(7)
+        accepted = refused = past_half = 0
+        for _ in range(400):
+            net = oracle_net(rng)
+            rt = SigmaDeltaRuntime(net)
+            w, b, limit = net.layers[0].grid.headroom
+            for t in range(6):
+                x = rng.standard_normal(net.input_dim)
+                if t < 5:
+                    x *= 10.0 ** rng.uniform(-3, 14)
+                else:  # the first layer's bound at 1/2 to 2 of its limit
+                    x *= ((rng.uniform(0.5, 2.0) * limit - b)
+                          / (w * net.layers[0].scale * np.abs(x).sum()))
+                try:
+                    y = rt.step(x)
+                except ValueError:
+                    refused += 1
+                    continue
+                want, top = integer_oracle(net, x)
+                assert np.array_equal(y, want)
+                assert np.array_equal(forward_rounding(net, x), want)
+                accepted += 1
+                past_half += top >= 2 ** 52
+        assert accepted > 500 and refused > 500 and past_half > 0

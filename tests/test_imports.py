@@ -10,6 +10,10 @@ A helper is a module-level function or class of the package whose name
 starts with "_" (dunder names excepted).  It is dead when no module of the
 package names it, as a name or as an attribute, anywhere but its own
 definition.
+
+The package reads no environment: no module names os.environ or
+os.getenv (or imports either), so its results depend only on the
+arguments of its functions.
 """
 
 import ast
@@ -100,3 +104,31 @@ def test_check_finds_a_dead_helper(tmp_path):
         "a._used()\n_helper()\n")
     assert dead_helpers([tmp_path / "a.py", tmp_path / "b.py"]) == [
         "a.py:5: _dead", "a.py:9: _Dead"]
+
+
+def environment_reads(path):
+    """Lines of path that name os.environ or os.getenv, as an attribute or
+    by import."""
+    names = {"environ", "getenv"}
+    hits = []
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Attribute) and n.attr in names:
+            hits.append((n.lineno, n.attr))
+        elif isinstance(n, ast.ImportFrom) and n.module == "os":
+            hits += [(n.lineno, a.name) for a in n.names if a.name in names]
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_reads_no_environment(path):
+    assert environment_reads(path) == []
+
+
+def test_check_finds_an_environment_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import os\nfrom os import getenv\n"
+                   "a = os.environ.get('A')\nb = getenv('B')\n"
+                   "c = os.getenv('C')\nd = os.path.join('x')\n")
+    assert environment_reads(mod) == [
+        "mod.py:2: getenv", "mod.py:3: environ", "mod.py:5: getenv"]

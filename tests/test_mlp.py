@@ -30,11 +30,12 @@ def test_early_stopping_cuts_epochs():
     assert len(history) < 50
 
 
-def test_epochs_must_be_positive():
+@pytest.mark.parametrize("epochs", [0, 1.5, np.inf])
+def test_epochs_must_be_a_positive_integer(epochs, no_training):
     X, y = make_blobs(np.random.default_rng(3), n=50)
     with pytest.raises(ValueError, match="epochs"):
         train_mlp(X, y, dims=(20, 8, 3), rng=np.random.default_rng(3),
-                  epochs=0)
+                  epochs=epochs)
 
 
 @pytest.fixture

@@ -354,7 +354,7 @@ class TestSigmaDeltaNet:
         net = random_net(rng, [9, 7, 5], scale_range=(0.5, 2.0))
         rt = SigmaDeltaRuntime(net)
         x = rng.standard_normal(9)
-        assert np.max(np.abs(rt.step(x) - forward_rounding(net, x))) < 1e-9
+        assert np.array_equal(rt.step(x), forward_rounding(net, x))
 
     def test_repeated_frame_costs_nothing(self):
         rng = np.random.default_rng(12)
@@ -367,7 +367,7 @@ class TestSigmaDeltaNet:
         y2 = rt.step(x, ledger=led, activity=act)
         assert act.l1[0] == 0  # no input-layer events on an unchanged frame
         assert led.int_adds == 0  # unchanged input -> unchanged everything
-        assert np.max(np.abs(y2 - forward_rounding(net, x))) < 1e-9
+        assert np.array_equal(y2, forward_rounding(net, x))
 
     def test_stream_equals_rounding_per_frame(self):
         rng = np.random.default_rng(13)
@@ -376,10 +376,7 @@ class TestSigmaDeltaNet:
         x = np.zeros(16)
         for _ in range(300):
             x = 0.7 * x + rng.standard_normal(16)
-            ys = rt.step(x)
-            yr = forward_rounding(net, x)
-            rel = np.max(np.abs(ys - yr)) / (np.max(np.abs(yr)) + 1e-12)
-            assert rel < 1e-6
+            assert np.array_equal(rt.step(x), forward_rounding(net, x))
 
     def test_history_independence(self):
         rng = np.random.default_rng(14)
@@ -391,8 +388,8 @@ class TestSigmaDeltaNet:
         rt2 = SigmaDeltaRuntime(net)
         out2 = np.array([rt2.step(x) for x in frames[perm]])
         ref = np.array([forward_rounding(net, x) for x in frames])
-        assert np.max(np.abs(out1 - ref)) < 1e-6
-        assert np.max(np.abs(out2 - ref[perm])) < 1e-6
+        assert np.array_equal(out1, ref)
+        assert np.array_equal(out2, ref[perm])
 
     def test_exact_for_integer_weights_unit_scale(self):
         rng = np.random.default_rng(15)
@@ -424,7 +421,7 @@ class TestSigmaDeltaNet:
             x = rng.standard_normal(8)
             ys = rt.step(x)
             assert abs(ys.sum() - 1.0) < 1e-12
-            assert np.max(np.abs(ys - forward_rounding(net, x))) < 1e-9
+            assert np.array_equal(ys, forward_rounding(net, x))
 
     def test_event_counts_are_rounded_input_changes(self):
         # layer-0 events are exactly |round(k x_t) - round(k x_{t-1})|_1,
@@ -472,8 +469,7 @@ class TestSigmaDeltaNet:
                 x[rng.integers(24, size=3)] += rng.standard_normal(3)
             before = list(rt._prev)
             ys = rt.step(x, ledger=led, activity=act)
-            yr = forward_rounding(net, x)
-            assert np.max(np.abs(ys - yr)) / (np.max(np.abs(yr)) + 1e-12) < 1e-6
+            assert np.array_equal(ys, forward_rounding(net, x))
             r = round_half_away(k * x)
             want += int(np.abs(r - prev).sum())
             prev = r

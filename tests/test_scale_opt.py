@@ -74,12 +74,18 @@ class TestUpdateScales:
 class TestTradeoffConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-1e-6), dict(eta=0.0), dict(epochs=-1),
+        dict(epochs=2.5), dict(epochs=float("inf")), dict(epochs=float("nan")),
         dict(surrogate="nope"), dict(lam=float("nan")),
         dict(lam=float("inf")), dict(eta=float("nan")), dict(eta=float("inf"))],
         ids=str)
     def test_refuses(self, kwargs):
         with pytest.raises(ValueError):
             TradeoffConfig(**kwargs)
+
+    def test_integral_epochs_of_any_kind_accepted(self):
+        for epochs in (2.0, np.int64(2)):
+            cfg = TradeoffConfig(epochs=epochs)
+            assert cfg.epochs == 2 and type(cfg.epochs) is int
 
     def test_zero_epochs_is_allowed(self):
         # no optimization step: the scales stay at their start

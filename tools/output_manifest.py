@@ -16,15 +16,18 @@ into OUT_DIR, which must be new or empty:
 - equivalence/equivalence.json and check-equivalence.stdout
   (check-equivalence --seed 4 --frames 300);
 - demos/NAME.stdout for each demo;
-- settings.json: the thread settings below, and the Python and numpy
-  versions;
+- settings.json: the BLAS thread settings and --threads value below,
+  and the Python and numpy versions;
 - SHA256SUMS: the sha256 of every file above, in `sha256sum -c` form.
 
-Everything runs with one BLAS thread and SIGDEL_THREADS=2, and the CLI
-runs inside OUT_DIR on relative paths, so the manifests echo no absolute
-path.  Two trees are output-neutral on this host when their SHA256SUMS
-are equal; to check an older tree, copy this script into its tools/.
-A command that exits non-zero stops the run.
+Everything runs with one BLAS thread, random-net and mnist with
+--threads 2, and the CLI runs inside OUT_DIR on relative paths, so the
+manifests echo no absolute path.  Two trees are output-neutral on this
+host when their SHA256SUMS are equal; to check an older tree, copy
+this script into its tools/.  A tree whose CLI has no --threads needs
+its own copy, whose settings.json records the worker count its own way,
+so only that file's line differs.  A command that exits non-zero stops
+the run.
 """
 
 import hashlib
@@ -37,7 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "SIGDEL_THREADS": "2"}
+           "MKL_NUM_THREADS": "1"}
+SWEEP_THREADS = "2"  # random-net's and mnist's --threads
 
 
 def run(args, cwd, stdout=None):
@@ -74,18 +78,20 @@ def main(argv):
     cli = ["-m", "sigmadelta.cli"]
     run(cli + ["random-net", "--out", "random_net", "--seed", "7",
                "--n-random", "50", "--train-frames", "256",
-               "--eval-frames", "64", "--epochs", "2"], out)
+               "--eval-frames", "64", "--epochs", "2",
+               "--threads", SWEEP_THREADS], out)
     make_digit_fixture(out, np.random.default_rng(6), n_train=96, n_test=48)
     run(cli + ["mnist", "--mnist-dir", "digits", "--net", "net.json",
                "--out", "mnist", "--seed", "3", "--lambda-list", "1e-7,1e-5",
-               "--epochs", "2", "--buffer-size", "20"], out)
+               "--epochs", "2", "--buffer-size", "20",
+               "--threads", SWEEP_THREADS], out)
     run(cli + ["check-equivalence", "--seed", "4", "--frames", "300",
                "--out", "equivalence"], out, out / "check-equivalence.stdout")
     (out / "demos").mkdir()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         run([str(demo)], ROOT, out / "demos" / f"{demo.stem}.stdout")
-    settings = dict(THREADS, python=platform.python_version(),
-                    numpy=np.__version__)
+    settings = dict(THREADS, threads=SWEEP_THREADS,
+                    python=platform.python_version(), numpy=np.__version__)
     (out / "settings.json").write_text(
         json.dumps(settings, sort_keys=True, indent=2) + "\n")
     write_manifest(out)
