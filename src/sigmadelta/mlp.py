@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .costs import _count
+from .costs import _count, _widths
 from .network import (LayerSpec, NetworkSpec, _check_frames, _passes,
                       dense_batch)
 
@@ -38,14 +38,19 @@ def train_mlp(images, labels, rng, dims=(784, 200, 200, 10), epochs=50,
     cross-entropy and validation accuracy.  Stops early once the target
     is reached.  Before any training or draw from rng, ValueError refuses
     an epochs that is not an integer >= 1, dims that are not at least two
-    widths, each >= 1, images that are not finite (n, dims[0]) rows
-    (network._check_frames), fewer than 2 images (one is held out, one
-    trained on), and labels that are not n integers in [0, dims[-1]).
+    widths, each an integer >= 1, images that are not finite (n, dims[0])
+    rows (network._check_frames), fewer than 2 images (one is held out,
+    one trained on), and labels that are not n integers in [0, dims[-1]).
     """
     epochs = _count(epochs, "epochs", 1)
-    if len(dims) < 2 or min(dims) < 1:
-        raise ValueError(f"dims must be at least two widths, each >= 1, "
-                         f"got {dims}")
+    try:
+        widths = _widths(dims)
+    except ValueError:
+        widths = ()
+    if len(widths) < 2:
+        raise ValueError(f"dims must be at least two widths, each an integer "
+                         f">= 1, got {dims}")
+    dims = widths
     X = _check_frames(images, dims[0])
     n = X.shape[0]
     if n < 2:

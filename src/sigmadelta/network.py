@@ -455,9 +455,10 @@ class TemporalDiffRuntime:
         return a.copy()
 
 
-# A layer adds the full delta product d @ W/k when more than this share of
-# its input rows changed, and otherwise gathers the changed rows of W/k
-# first.  Both are exact on the layer's grid; this only picks the faster.
+# A layer adds the full delta product d @ W/k when its change's events,
+# L1(d), exceed this share of its input rows, and otherwise gathers the
+# changed rows of W/k, at most L1(d) of them; at unit changes events equal
+# rows.  Both are exact on the layer's grid; this only picks the faster.
 # Gather + product against the dense product, in us, on the 64-byte-aligned
 # W/k (LayerSpec.grid), warm in cache, with one BLAS thread (OpenBLAS
 # 0.3.31, 2 vCPUs), at 10% / 20% / 1/4 / 1/3 / 50% / 100% of rows:
@@ -474,8 +475,8 @@ DENSE_DELTA_SHARE = 1 / 5
 
 def _layer_consts(net):
     """What the sigma-delta step reads of each layer: k (a _const), W/k,
-    the activation, the changed-row count past which the dense delta
-    product runs, and the headroom of the layer's grid."""
+    the activation, the event L1 past which the dense delta product runs,
+    and the headroom of the layer's grid."""
     return [(_const(l.scale), l.grid.weights, l.activation,
              DENSE_DELTA_SHARE * l.d_in, l.grid.headroom) for l in net.layers]
 
@@ -518,14 +519,14 @@ class SigmaDeltaRuntime:
     input costs zero additions at the layers it leaves unchanged.  step
     takes one frame; run takes a window from the same state.
 
-    A layer whose changed rows exceed DENSE_DELTA_SHARE of its inputs adds
-    the dense delta product; otherwise it gathers only the changed rows of
-    W/k, and the event L1 is summed over the gathered changes alone.  Every
-    sum is exact on the layer's grid, and the L1 is a sum of integers,
-    exact in any order, so both kernels give forward_rounding's bits, and
-    event counts, ledger charges and LayerActivity do not depend on which
-    ran.  step returns an array of the caller's own: writing into it
-    cannot reach the runtime's state.
+    A layer whose change's event L1 exceeds DENSE_DELTA_SHARE of its inputs
+    adds the dense delta product; otherwise it gathers the changed rows of
+    W/k, at most L1 of them, as each holds an event or more.  Every sum is
+    exact on the layer's grid, so both kernels give forward_rounding's
+    bits, and the L1, summed over the whole change before either runs,
+    fixes event counts, ledger charges and LayerActivity alike.  step
+    returns an array of the caller's own: writing into it cannot reach the
+    runtime's state.
 
     A frame is refused (_check_events) unless, per layer,
     L1(round(k*a)) * max|W/k| + max|b| and L1(change) * max|W/k| stay below
@@ -558,11 +559,6 @@ class SigmaDeltaRuntime:
                 self._consts, self._prev, self._u, self._bounds):
             r = round_half_away(a * k)
             d = r - prev
-            # NaN != 0, so a NaN or inf change is among the changed rows
-            idx = (d != 0).nonzero()[0]
-            gather = idx.size <= dense_rows
-            if gather:
-                d = d[idx]
             # |d| holds integers: summed in any order, exactly below 2**53,
             # and to at least 2**53 past it, where _check_events refuses
             l1 = float(np.add.reduce(np.abs(d)))
@@ -573,7 +569,10 @@ class SigmaDeltaRuntime:
             if not bound * w + b < limit:
                 bound = float(np.add.reduce(np.abs(r)))
             _check_events(l1, bound, headroom)
-            p = d @ wk.take(idx, axis=0) if gather else d @ wk
+            if l1 <= dense_rows:  # each changed row holds an event or more
+                idx = (d != 0).nonzero()[0]
+                d, wk = d[idx], wk.take(idx, axis=0)
+            p = d @ wk
             p += u  # a new integral: u, kept as stored, is never written
             l1s.append(int(l1))
             prevs.append(r)

@@ -3,6 +3,8 @@ that rounds its layer inputs computes the same bits, whatever kernel, batch
 shape, chunking or history, those of an oracle that sums in Python ints,
 and a frame past a layer's headroom is refused."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,11 +162,12 @@ class TestGridRecord:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("share", [0.0, 1.0, network.DENSE_DELTA_SHARE],
-                             ids=["dense", "gather", "adaptive"])
+    @pytest.mark.parametrize(
+        "share", [0.0, math.inf, network.DENSE_DELTA_SHARE],
+        ids=["dense", "gather", "adaptive"])
     def test_step_stream_and_rounding_agree(self, monkeypatch, share):
         # share 0 sends every frame with events down the dense delta product,
-        # share 1 every frame down the row gather
+        # share inf every frame down the row gather
         monkeypatch.setattr(network, "DENSE_DELTA_SHARE", share)
         rng = np.random.default_rng(3)
         for net in stream_nets(rng):

@@ -68,12 +68,14 @@ def test_fewer_than_two_images_refused_before_any_draw(n, no_training):
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("dims", [(20,), (20, 0, 3), (20, 8, 0), ()],
+@pytest.mark.parametrize("dims", [(20,), (20, 0, 3), (20, 8, 0), (),
+                                  (20, 2.5, 3)],
                          ids=["one-width", "zero-hidden", "zero-classes",
-                              "none"])
+                              "none", "fractional-hidden"])
 def test_unbuildable_dims_refused_before_any_draw(dims, no_training):
     # one width left no layer to index; a zero width divided by zero when
-    # the next layer's weights were drawn
+    # the next layer's weights were drawn; a fractional one raised TypeError
+    # from the draw of its weights
     X, y = make_blobs(np.random.default_rng(6), n=50)
     rng = np.random.default_rng(6)
     state = rng.bit_generator.state

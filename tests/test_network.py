@@ -474,12 +474,43 @@ class TestSigmaDeltaNet:
             want += int(np.abs(r - prev).sum())
             prev = r
             for i, (new, old) in enumerate(zip(rt._prev, before)):
-                rows = np.count_nonzero(new - old)
-                if rows:
-                    kernels[i, int(rows > DENSE_DELTA_SHARE * old.size)] += 1
+                l1 = np.abs(new - old).sum()
+                if l1:
+                    kernels[i, int(l1 > DENSE_DELTA_SHARE * old.size)] += 1
         assert np.all(kernels > 0)
         assert act.l1[0] == want
         assert led.int_adds == flops_sigma_delta(act)
+
+    @pytest.mark.parametrize("x0, gathered", [((3.0, 1.0), [2]),
+                                              ((3.0, 2.0), [])],
+                             ids=["4-events-gather", "5-events-dense"])
+    def test_kernel_boundary_is_on_events(self, x0, gathered):
+        # 20 inputs at scale 1 gather up to 1/5 * 20 = 4 events.  Two
+        # changed rows carrying 4 events take the gather; carrying 5 they
+        # take the dense product, though 2 rows are under the share
+        net = NetworkSpec([LayerSpec(
+            np.random.default_rng(28).standard_normal((20, 6)),
+            np.full(6, 0.25), "identity", 1.0)])
+        x = np.zeros(20)
+        x[[5, 11]] = x0
+        taken = []
+
+        class Spy(np.ndarray):  # W/k, noting the rows each gather takes
+            def take(self, idx, axis=None):
+                taken.append(len(idx))
+                return np.asarray(self).take(idx, axis=axis)
+
+        rt = SigmaDeltaRuntime(net)
+        rt._consts = [(k, wk.view(Spy), *rest) for k, wk, *rest in rt._consts]
+        act, run_act, batch_act = (LayerActivity.for_network(net)
+                                   for _ in range(3))
+        y = rt.step(x, activity=act)
+        assert taken == gathered
+        assert np.array_equal(y, forward_rounding(net, x))
+        SigmaDeltaRuntime(net).run(x[None], activity=run_act)
+        rounding_batch(net, x[None], batch_act)
+        assert list(act.l1) == list(run_act.l1) == list(batch_act.l1) == [
+            sum(x0)]
 
     @pytest.mark.parametrize("acts", [
         ["relu", "relu"], ["relu", "identity"], ["relu", "softmax"],

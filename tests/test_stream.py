@@ -4,6 +4,8 @@ charges nothing.  SigmaDeltaRuntime.run, which it calls on a fresh
 runtime, resumes from the runtime's state: windows and steps interleaved
 on one runtime are the step alone, state included."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,12 @@ def frames(rng, net, n=150):
 
 
 class TestStreamIsTheStep:
-    @pytest.mark.parametrize("share", [0.0, 1.0, network.DENSE_DELTA_SHARE],
-                             ids=["dense", "gather", "adaptive"])
+    @pytest.mark.parametrize(
+        "share", [0.0, math.inf, network.DENSE_DELTA_SHARE],
+        ids=["dense", "gather", "adaptive"])
     def test_any_kernel(self, monkeypatch, share):
         # share 0 sends every frame with events down the dense delta product,
-        # share 1 every frame down the row gather
+        # share inf every frame down the row gather
         monkeypatch.setattr(network, "DENSE_DELTA_SHARE", share)
         rng = np.random.default_rng(20)
         for net in stream_nets(rng):
